@@ -393,41 +393,6 @@ void runPerfTrajectory(bool smoke) {
     speedups.push_back({"fingerprint_nearest_world", speedup});
   }
 
-  // The serving layer's batch entry point vs a per-query loop over the
-  // same scans (ns normalized per query in both variants).
-  {
-    constexpr std::size_t kBatch = 64;
-    const auto queries = makeQueries(db, kBatch, 13u);
-    std::vector<const radio::Fingerprint*> pointers;
-    for (const auto& q : queries) pointers.push_back(&q);
-    std::vector<radio::Match> matches;
-    std::vector<std::vector<radio::Match>> batchOut;
-    const auto perQuery = measureOp(
-        rounds, 2, static_cast<double>(kBatch), [&] {
-          for (const auto* q : pointers) {
-            db.queryInto(*q, 12, matches);
-            benchmark::DoNotOptimize(matches.data());
-          }
-        });
-    const auto batched = measureOp(
-        rounds, 2, static_cast<double>(kBatch), [&] {
-          db.queryBatchInto(pointers, 12, batchOut);
-          benchmark::DoNotOptimize(batchOut.data());
-        });
-    json.beginObject()
-        .field("name", "fingerprint_batch_world")
-        .field("unit", "ns_per_query")
-        .field("batch_size", static_cast<double>(kBatch));
-    json.beginArray("variants");
-    bench::writeVariant(json, "per_query_loop", perQuery);
-    bench::writeVariant(json, "batch", batched);
-    json.endArray();
-    json.field("speedup_best_vs_reference",
-               batched.bestNs > 0.0 ? perQuery.bestNs / batched.bestNs
-                                    : 0.0)
-        .endObject();
-  }
-
   // Eq. 6 motion scoring over a candidate set: dense per-pair lookups
   // (reference) vs the CSR adjacency path, per-candidate ns.
   {

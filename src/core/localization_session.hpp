@@ -53,13 +53,14 @@ class LocalizationSession {
                           const sensors::ImuTrace& imuSinceLastScan);
 
   /// Variant of onScan() for a caller that already matched the scan
-  /// against the radio map (the serving layer's batched fingerprint
-  /// kernel): `candidates` must be exactly what this session's engine
-  /// would compute for the scan, and the estimate is then
-  /// bitwise-identical to onScan().  `scanError`, when non-null, is the
-  /// exception the scan's precomputed match raised; it is rethrown
-  /// after motion processing — the same point at which onScan() would
-  /// have raised it — so failure ordering matches the unbatched path.
+  /// against the radio map (e.g. a per-layer benchmark that times the
+  /// candidate stage on its own): `candidates` must be exactly what
+  /// this session's engine would compute for the scan, and the
+  /// estimate is then bitwise-identical to onScan().  `scanError`,
+  /// when non-null, is the exception the caller's match raised; it is
+  /// rethrown after motion processing — the same point at which
+  /// onScan() would have raised it — so failure ordering matches
+  /// onScan().
   LocationEstimate onScanWithCandidates(
       std::span<const Candidate> candidates, std::exception_ptr scanError,
       const sensors::ImuTrace& imuSinceLastScan);

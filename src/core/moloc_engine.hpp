@@ -94,13 +94,12 @@ class MoLocEngine {
       const std::optional<sensors::MotionMeasurement>& motion);
 
   /// Variant of localize() for a caller that already ran candidate
-  /// estimation — e.g. the serving layer, which batches every scan in a
-  /// localizeBatch() into one fingerprint-kernel invocation.
-  /// `candidates` must be exactly what this engine's estimator would
-  /// yield for the query; given that, the estimate is bitwise-identical
-  /// to localize().  The fingerprint stage timer is not observed here
-  /// (that work happened in the caller); the candidate-set size and the
-  /// motion/fusion stages are.
+  /// estimation itself — e.g. a per-layer benchmark that times the
+  /// candidate stage separately.  `candidates` must be exactly what
+  /// this engine's estimator would yield for the query; given that,
+  /// the estimate is bitwise-identical to localize().  The fingerprint
+  /// stage timer is not observed here (that work happened in the
+  /// caller); the candidate-set size and the motion/fusion stages are.
   LocationEstimate localizeWithCandidates(
       std::span<const Candidate> candidates,
       const std::optional<sensors::MotionMeasurement>& motion);

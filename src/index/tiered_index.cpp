@@ -342,10 +342,19 @@ void TieredIndex::scanShard(const Shard& shard,
   }
 }
 
-void TieredIndex::queryPrepared(const radio::Fingerprint& query,
-                                std::size_t k, ScanWorkspace& ws,
-                                std::vector<radio::Match>& out,
-                                QueryStats* stats) const {
+void TieredIndex::queryInto(const radio::Fingerprint& query,
+                            std::size_t k, std::vector<radio::Match>& out,
+                            QueryStats* stats) const {
+  if (k == 0)
+    throw util::ConfigError("TieredIndex: k must be >= 1");
+  if (rowValues_.empty())
+    throw util::StateError("TieredIndex: empty database");
+  if (!allFinite(query))
+    throw util::ConfigError("TieredIndex: non-finite query RSS");
+  if (query.size() != db_->apCount())
+    throw util::ConfigError(
+        "dissimilarity: fingerprint dimensions differ");
+  ScanWorkspace& ws = threadWorkspace();
   const std::size_t apCount = db_->apCount();
   const std::size_t n = rowValues_.size();
 
@@ -431,7 +440,7 @@ void TieredIndex::queryPrepared(const radio::Fingerprint& query,
   }
 
   // Exact tier: gather the shortlist and run the same kernel pipeline
-  // as FingerprintDatabase::queryPrepared.  Row sums are independent
+  // as FingerprintDatabase::queryInto.  Row sums are independent
   // of their block neighbours, so the gathered distances are bitwise
   // the full-scan distances of those rows.
   ws.scratch.reset(apCount);
@@ -483,56 +492,6 @@ void TieredIndex::queryPrepared(const radio::Fingerprint& query,
           "TieredIndex: exhaustive check failed: shortlist dropped " +
           std::to_string(missed) + " of the true top-" +
           std::to_string(ws.fullTopk.size()) + " entries");
-  }
-}
-
-void TieredIndex::queryInto(const radio::Fingerprint& query,
-                            std::size_t k, std::vector<radio::Match>& out,
-                            QueryStats* stats) const {
-  if (k == 0)
-    throw util::ConfigError("TieredIndex: k must be >= 1");
-  if (rowValues_.empty())
-    throw util::StateError("TieredIndex: empty database");
-  if (!allFinite(query))
-    throw util::ConfigError("TieredIndex: non-finite query RSS");
-  if (query.size() != db_->apCount())
-    throw util::ConfigError(
-        "dissimilarity: fingerprint dimensions differ");
-  queryPrepared(query, k, threadWorkspace(), out, stats);
-}
-
-std::vector<radio::Match> TieredIndex::query(
-    const radio::Fingerprint& query, std::size_t k) const {
-  std::vector<radio::Match> out;
-  queryInto(query, k, out);
-  return out;
-}
-
-void TieredIndex::queryBatchInto(
-    std::span<const radio::Fingerprint* const> queries, std::size_t k,
-    std::vector<std::vector<radio::Match>>& out,
-    std::vector<std::exception_ptr>* errors) const {
-  if (k == 0)
-    throw util::ConfigError("TieredIndex: k must be >= 1");
-  if (rowValues_.empty())
-    throw util::StateError("TieredIndex: empty database");
-  out.resize(queries.size());
-  if (errors) errors->assign(queries.size(), nullptr);
-  ScanWorkspace& ws = threadWorkspace();
-  for (std::size_t q = 0; q < queries.size(); ++q) {
-    out[q].clear();
-    try {
-      const radio::Fingerprint& query = *queries[q];
-      if (!allFinite(query))
-        throw util::ConfigError("TieredIndex: non-finite query RSS");
-      if (query.size() != db_->apCount())
-        throw util::ConfigError(
-            "dissimilarity: fingerprint dimensions differ");
-      queryPrepared(query, k, ws, out[q], nullptr);
-    } catch (...) {
-      if (!errors) throw;
-      (*errors)[q] = std::current_exception();
-    }
   }
 }
 

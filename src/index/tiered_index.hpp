@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <exception>
 #include <memory>
 #include <span>
 #include <vector>
@@ -170,19 +169,6 @@ class TieredIndex {
                  std::vector<radio::Match>& out,
                  QueryStats* stats = nullptr) const;
 
-  /// Allocating convenience wrapper over queryInto.
-  std::vector<radio::Match> query(const radio::Fingerprint& query,
-                                  std::size_t k) const;
-
-  /// Drop-in for FingerprintDatabase::queryBatchInto: database-wide
-  /// preconditions always throw; with a non-null `errors`, per-query
-  /// failures are captured in errors[i] (out[i] left empty) instead of
-  /// thrown.
-  void queryBatchInto(
-      std::span<const radio::Fingerprint* const> queries, std::size_t k,
-      std::vector<std::vector<radio::Match>>& out,
-      std::vector<std::exception_ptr>* errors = nullptr) const;
-
  private:
   /// One shard: the scan path reads only the spans, which point either
   /// at the *Storage vectors (built here) or into an mmap'd venue
@@ -217,9 +203,6 @@ class TieredIndex {
   TieredIndex() = default;
 
   Shard buildShard(std::size_t rowBegin, std::size_t rowEnd) const;
-  void queryPrepared(const radio::Fingerprint& query, std::size_t k,
-                     ScanWorkspace& ws, std::vector<radio::Match>& out,
-                     QueryStats* stats) const;
   void scanShard(const Shard& shard, const std::uint8_t* qBuckets,
                  std::uint32_t offset, ScanWorkspace& ws) const;
 

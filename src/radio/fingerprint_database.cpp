@@ -126,10 +126,19 @@ std::vector<Match> FingerprintDatabase::query(const Fingerprint& query,
   return matches;
 }
 
-void FingerprintDatabase::queryPrepared(const Fingerprint& query,
-                                        std::size_t k,
-                                        kernel::QueryWorkspace& ws,
-                                        std::vector<Match>& out) const {
+void FingerprintDatabase::queryInto(const Fingerprint& query, std::size_t k,
+                                    std::vector<Match>& out) const {
+  if (k == 0)
+    throw util::ConfigError("FingerprintDatabase: k must be >= 1");
+  if (entries_.empty())
+    throw util::StateError("FingerprintDatabase: empty database");
+  if (!allFinite(query))
+    throw util::ConfigError(
+        "FingerprintDatabase: non-finite query RSS");
+  if (query.size() != apCount())
+    throw util::ConfigError(
+        "dissimilarity: fingerprint dimensions differ");
+  auto& ws = threadWorkspace();
   ws.distances.resize(flat_.paddedRows());
   kernel::squaredDistances(flat_, query.values().data(),
                            ws.distances.data());
@@ -153,51 +162,6 @@ void FingerprintDatabase::queryPrepared(const Fingerprint& query,
   for (auto& m : out)
     m.probability =
         (1.0 / std::max(m.dissimilarity, kMinDissimilarity)) / invSum;
-}
-
-void FingerprintDatabase::queryInto(const Fingerprint& query, std::size_t k,
-                                    std::vector<Match>& out) const {
-  if (k == 0)
-    throw util::ConfigError("FingerprintDatabase: k must be >= 1");
-  if (entries_.empty())
-    throw util::StateError("FingerprintDatabase: empty database");
-  if (!allFinite(query))
-    throw util::ConfigError(
-        "FingerprintDatabase: non-finite query RSS");
-  if (query.size() != apCount())
-    throw util::ConfigError(
-        "dissimilarity: fingerprint dimensions differ");
-  auto& ws = threadWorkspace();
-  queryPrepared(query, k, ws, out);
-}
-
-void FingerprintDatabase::queryBatchInto(
-    std::span<const Fingerprint* const> queries, std::size_t k,
-    std::vector<std::vector<Match>>& out,
-    std::vector<std::exception_ptr>* errors) const {
-  if (k == 0)
-    throw util::ConfigError("FingerprintDatabase: k must be >= 1");
-  if (entries_.empty())
-    throw util::StateError("FingerprintDatabase: empty database");
-  out.resize(queries.size());
-  if (errors) errors->assign(queries.size(), nullptr);
-  auto& ws = threadWorkspace();
-  for (std::size_t q = 0; q < queries.size(); ++q) {
-    out[q].clear();
-    try {
-      const Fingerprint& query = *queries[q];
-      if (!allFinite(query))
-        throw util::ConfigError(
-            "FingerprintDatabase: non-finite query RSS");
-      if (query.size() != apCount())
-        throw util::ConfigError(
-            "dissimilarity: fingerprint dimensions differ");
-      queryPrepared(query, k, ws, out[q]);
-    } catch (...) {
-      if (!errors) throw;
-      (*errors)[q] = std::current_exception();
-    }
-  }
 }
 
 FingerprintDatabase FingerprintDatabase::truncatedTo(std::size_t n) const {

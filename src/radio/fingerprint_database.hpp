@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <exception>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -108,23 +107,6 @@ class FingerprintDatabase {
   void queryInto(const Fingerprint& query, std::size_t k,
                  std::vector<Match>& out) const;
 
-  /// Multi-query batch entry point: answers every query in `queries`
-  /// against one shared kernel workspace, filling out[i] with query
-  /// i's matches — bitwise-identical to calling queryInto per query.
-  /// The serving layer uses this to gather a whole localizeBatch's
-  /// scans into one kernel invocation instead of n independent scans.
-  ///
-  /// Error handling is per-query so one poisoned scan cannot sink a
-  /// whole batch: when `errors` is non-null it is resized to match and
-  /// a query that fails validation (e.g. non-finite RSS) gets its
-  /// exception captured in errors[i] with out[i] left empty, while
-  /// every other query is answered.  With a null `errors`, the first
-  /// failure is thrown.  Database-wide preconditions (empty database,
-  /// k == 0) always throw.
-  void queryBatchInto(std::span<const Fingerprint* const> queries,
-                      std::size_t k, std::vector<std::vector<Match>>& out,
-                      std::vector<std::exception_ptr>* errors = nullptr) const;
-
   /// A copy of this database restricted to the first `n` APs — how the
   /// paper derives its 4- and 5-AP configurations from the 6-AP survey.
   FingerprintDatabase truncatedTo(std::size_t n) const;
@@ -137,12 +119,6 @@ class FingerprintDatabase {
     env::LocationId id;
     Fingerprint fingerprint;
   };
-
-  /// Shared body of queryInto/queryBatchInto: distances + top-k +
-  /// Eq. 4 probabilities for one already-validated query.
-  void queryPrepared(const Fingerprint& query, std::size_t k,
-                     kernel::QueryWorkspace& ws,
-                     std::vector<Match>& out) const;
 
   std::vector<Entry> entries_;
   /// id -> position in entries_, so entry()/contains() are O(1) and DB

@@ -30,7 +30,7 @@ std::size_t checkShardCount(std::size_t shardCount) {
 
 /// Resolves the configured IndexMode against the actual radio map; an
 /// empty map or k == 0 never gets an index (those configurations keep
-/// the unprepared per-session path and its per-session errors).
+/// the radio-map backend, which raises their errors per scan).
 bool wantTieredIndex(const ServiceConfig& config,
                      const radio::FingerprintDatabase& fingerprints) {
   if (fingerprints.empty() || config.engine.candidateCount == 0)
@@ -143,12 +143,6 @@ void LocalizationService::finishConstruction(
         "moloc_service_batch_size",
         "Requests per localizeBatch() call",
         obs::Histogram::exponentialBuckets(1.0, 2.0, 14));
-    metrics_.batchMatch = &registry.histogram(
-        "moloc_service_batch_match_seconds",
-        "Wall time of the batched fingerprint-kernel invocation that "
-        "matches every scan of a localizeBatch() up front (this work "
-        "no longer appears in the per-round engine fingerprint stage)",
-        obs::Histogram::exponentialBuckets(1e-6, 2.0, 20));
     metrics_.sessionsActive = &registry.gauge(
         "moloc_service_sessions_active", "Sessions currently tracked");
     metrics_.scansTotal = &registry.counter(
@@ -297,24 +291,6 @@ core::LocationEstimate LocalizationService::localizeLocked(
   return estimate;
 }
 
-core::LocationEstimate LocalizationService::localizePreparedLocked(
-    core::LocalizationSession& session,
-    std::span<const core::Candidate> candidates,
-    std::exception_ptr scanError, const sensors::ImuTrace& imu) {
-#if MOLOC_METRICS_ENABLED
-  obs::ScopedTimer timer(metrics_.scanLatency);
-#endif
-  adoptWorld(session);
-  core::LocationEstimate estimate =
-      session.onScanWithCandidates(candidates, scanError, imu);
-#if MOLOC_METRICS_ENABLED
-  if (metrics_.scansTotal) metrics_.scansTotal->inc();
-  if (metrics_.scansNoFix && !estimate.hasFix())
-    metrics_.scansNoFix->inc();
-#endif
-  return estimate;
-}
-
 core::LocationEstimate LocalizationService::submitScan(
     SessionId id, const radio::Fingerprint& scan,
     const sensors::ImuTrace& imuSinceLastScan) {
@@ -332,40 +308,12 @@ std::vector<core::LocationEstimate> LocalizationService::localizeBatch(
     metrics_.batchSize->observe(static_cast<double>(batch.size()));
 #endif
 
-  // Batched fingerprint matching: every scan in the batch goes through
-  // one fingerprint-kernel invocation up front, instead of each session
-  // task running its own independent query.  Per-request errors are
-  // captured and rethrown inside the owning session's task at the same
-  // point the unbatched query would have thrown, so the documented
-  // failure semantics are unchanged.  The degenerate configurations
-  // (empty radio map, k == 0) keep the unbatched path because their
-  // errors surface per session, not per batch.
-  const bool prepared =
-      !fingerprints_->empty() && config_.engine.candidateCount > 0;
-  std::vector<std::vector<core::Candidate>> batchCandidates;
-  std::vector<std::exception_ptr> batchErrors;
-  if (prepared) {
-#if MOLOC_METRICS_ENABLED
-    obs::ScopedTimer matchTimer(metrics_.batchMatch);
-#endif
-    std::vector<const radio::Fingerprint*> scans;
-    scans.reserve(batch.size());
-    for (const auto& request : batch) scans.push_back(&request.scan);
-    // The tiered index, when built, fronts the batched match too —
-    // same validation and (given full shortlist recall) the same
-    // bitwise matches as the exact kernel scan.
-    if (index_)
-      index_->queryBatchInto(scans, config_.engine.candidateCount,
-                             batchCandidates, &batchErrors);
-    else
-      fingerprints_->queryBatchInto(scans, config_.engine.candidateCount,
-                                    batchCandidates, &batchErrors);
-  }
-
   // Group request indices by session, preserving each session's
   // request order.  One task per session keeps a session's scans
   // strictly ordered while distinct sessions run in parallel — which
   // is also why the batch result cannot depend on thread scheduling.
+  // Each task runs whole rounds through localizeLocked, candidate
+  // stage included, exactly as submitScan does.
   std::unordered_map<SessionId, std::vector<std::size_t>> bySession;
   std::vector<SessionId> order;  // First-appearance order, for tasks.
   for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -395,9 +343,8 @@ std::vector<core::LocationEstimate> LocalizationService::localizeBatch(
   pending.reserve(order.size());
   for (const SessionId id : order) {
     const auto* indices = &bySession.at(id);
-    pending.push_back(pool_.submit([this, id, indices, prepared,
-                                    &batchCandidates, &batchErrors, &batch,
-                                    &results, &recordFailure] {
+    pending.push_back(pool_.submit([this, id, indices, &batch, &results,
+                                    &recordFailure] {
       std::size_t position = 0;
       try {
         const auto slot =
@@ -406,12 +353,7 @@ std::vector<core::LocationEstimate> LocalizationService::localizeBatch(
         for (; position < indices->size(); ++position) {
           const std::size_t i = (*indices)[position];
           results[i] =
-              prepared
-                  ? localizePreparedLocked(slot->session,
-                                           batchCandidates[i],
-                                           batchErrors[i], batch[i].imu)
-                  : localizeLocked(slot->session, batch[i].scan,
-                                   batch[i].imu);
+              localizeLocked(slot->session, batch[i].scan, batch[i].imu);
         }
       } catch (...) {
         // A session is a stateful Bayesian filter: once one of its

@@ -3,10 +3,8 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <exception>
 #include <functional>
 #include <memory>
-#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -202,6 +200,10 @@ class LocalizationService {
   /// Localizes a batch over the thread pool and returns the estimates
   /// in request order.  Requests for the same session are applied in
   /// their order within `batch`; distinct sessions run in parallel.
+  /// Each request is one submitScan()-equivalent round (candidate
+  /// estimation, motion, fusion) run inside its session's pool task,
+  /// so the estimates are bitwise-identical to calling submitScan()
+  /// per request.
   ///
   /// Failure semantics (enforced; see docs/serving.md): when a request
   /// throws (e.g. a NaN scan), that session's *remaining* requests in
@@ -359,14 +361,6 @@ class LocalizationService {
                                         const radio::Fingerprint& scan,
                                         const sensors::ImuTrace& imu);
 
-  /// localizeLocked for a scan whose fingerprint match was precomputed
-  /// by the batch kernel path (see localizeBatch); `scanError` carries
-  /// the scan's captured validation failure, if any.
-  core::LocationEstimate localizePreparedLocked(
-      core::LocalizationSession& session,
-      std::span<const core::Candidate> candidates,
-      std::exception_ptr scanError, const sensors::ImuTrace& imu);
-
   ServiceConfig config_;
   /// Shared, never mutated after construction: every published
   /// WorldSnapshot holds a reference instead of a copy.
@@ -403,7 +397,6 @@ class LocalizationService {
   struct Metrics {
     obs::Histogram* scanLatency = nullptr;
     obs::Histogram* batchSize = nullptr;
-    obs::Histogram* batchMatch = nullptr;
     obs::Gauge* sessionsActive = nullptr;
     obs::Counter* scansTotal = nullptr;
     obs::Counter* scansNoFix = nullptr;

@@ -5,8 +5,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <exception>
-#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -219,61 +217,6 @@ TEST(FingerprintDatabaseKernelTest, QueryMatchesPreKernelOracleBitwise) {
       EXPECT_EQ(got[i].probability, expected[i].probability);
     }
   }
-}
-
-TEST(FingerprintDatabaseKernelTest, QueryBatchMatchesPerQueryCalls) {
-  util::Rng rng(37);
-  const auto db = makeDb(rng, 30, 6);
-  std::vector<radio::Fingerprint> queries;
-  for (int q = 0; q < 8; ++q)
-    queries.emplace_back(randomRow(rng, 6));
-  std::vector<const radio::Fingerprint*> pointers;
-  for (const auto& q : queries) pointers.push_back(&q);
-
-  std::vector<std::vector<radio::Match>> batch;
-  db.queryBatchInto(pointers, 5, batch);
-  ASSERT_EQ(batch.size(), queries.size());
-  std::vector<radio::Match> single;
-  for (std::size_t q = 0; q < queries.size(); ++q) {
-    db.queryInto(queries[q], 5, single);
-    ASSERT_EQ(batch[q].size(), single.size());
-    for (std::size_t i = 0; i < single.size(); ++i) {
-      EXPECT_EQ(batch[q][i].location, single[i].location);
-      EXPECT_EQ(batch[q][i].dissimilarity, single[i].dissimilarity);
-      EXPECT_EQ(batch[q][i].probability, single[i].probability);
-    }
-  }
-}
-
-TEST(FingerprintDatabaseKernelTest, QueryBatchIsolatesPerQueryErrors) {
-  util::Rng rng(41);
-  const auto db = makeDb(rng, 10, 6);
-  const radio::Fingerprint good(randomRow(rng, 6));
-  const radio::Fingerprint shortDims(randomRow(rng, 4));
-  std::vector<double> nanRow = randomRow(rng, 6);
-  nanRow[2] = std::numeric_limits<double>::quiet_NaN();
-  const radio::Fingerprint nonFinite(nanRow);
-
-  const std::vector<const radio::Fingerprint*> pointers{
-      &good, &shortDims, &nonFinite, &good};
-  std::vector<std::vector<radio::Match>> batch;
-  std::vector<std::exception_ptr> errors;
-  db.queryBatchInto(pointers, 3, batch, &errors);
-
-  ASSERT_EQ(batch.size(), 4u);
-  ASSERT_EQ(errors.size(), 4u);
-  EXPECT_EQ(errors[0], nullptr);
-  EXPECT_EQ(batch[0].size(), 3u);
-  ASSERT_NE(errors[1], nullptr);
-  EXPECT_THROW(std::rethrow_exception(errors[1]), std::invalid_argument);
-  ASSERT_NE(errors[2], nullptr);
-  EXPECT_THROW(std::rethrow_exception(errors[2]), std::invalid_argument);
-  EXPECT_EQ(errors[3], nullptr);
-  EXPECT_EQ(batch[3].size(), 3u);
-
-  // Without an error sink, the first failure propagates.
-  EXPECT_THROW(db.queryBatchInto(pointers, 3, batch),
-               std::invalid_argument);
 }
 
 TEST(SelectSmallestKTest, KAtLeastNReturnsEverythingSorted) {

@@ -318,59 +318,63 @@ TEST(LocalizationService, BatchRethrowsEarliestFailureInBatchOrder) {
 
 #if MOLOC_METRICS_ENABLED
 TEST(LocalizationService, ServiceMetricsTrackScansSessionsAndBatches) {
-  obs::MetricsRegistry registry;
-  ServiceConfig config = testConfig(2);
-  config.metrics = &registry;
-  LocalizationService svc(twinFingerprints(), twinMotion(), config);
-  const auto walk = makeWalk(41);
+  // Run once over the exact radio-map backend and once with the tiered
+  // index fronting it: the stage invariant must hold for both.
+  for (const IndexMode mode : {IndexMode::kOff, IndexMode::kOn}) {
+    SCOPED_TRACE(mode == IndexMode::kOn ? "index on" : "index off");
+    obs::MetricsRegistry registry;
+    ServiceConfig config = testConfig(2);
+    config.metrics = &registry;
+    config.indexMode = mode;
+    {
+      LocalizationService svc(twinFingerprints(), twinMotion(), config);
+      ASSERT_EQ(svc.tieredIndex() != nullptr, mode == IndexMode::kOn);
+      const auto walk = makeWalk(41);
 
-  (void)svc.submitScan(1, walk.scans[0], walk.imu[0]);
-  (void)svc.submitScan(1, walk.scans[1], walk.imu[1]);
-  std::vector<ScanRequest> batch;
-  batch.push_back({2, walk.scans[0], walk.imu[0]});
-  batch.push_back({3, walk.scans[0], walk.imu[0]});
-  (void)svc.localizeBatch(batch);
+      (void)svc.submitScan(1, walk.scans[0], walk.imu[0]);
+      (void)svc.submitScan(1, walk.scans[1], walk.imu[1]);
+      std::vector<ScanRequest> batch;
+      batch.push_back({2, walk.scans[0], walk.imu[0]});
+      batch.push_back({3, walk.scans[0], walk.imu[0]});
+      (void)svc.localizeBatch(batch);
 
-  EXPECT_DOUBLE_EQ(
-      registry.findCounter("moloc_service_scans_total")->value(), 4.0);
-  obs::Histogram* latency =
-      registry.findHistogram("moloc_service_scan_latency_seconds");
-  ASSERT_NE(latency, nullptr);
-  EXPECT_EQ(latency->count(), 4u);
-  obs::Histogram* batchSize =
-      registry.findHistogram("moloc_service_batch_size");
-  ASSERT_NE(batchSize, nullptr);
-  EXPECT_EQ(batchSize->count(), 1u);
-  EXPECT_DOUBLE_EQ(batchSize->sum(), 2.0);
+      EXPECT_DOUBLE_EQ(
+          registry.findCounter("moloc_service_scans_total")->value(), 4.0);
+      obs::Histogram* latency =
+          registry.findHistogram("moloc_service_scan_latency_seconds");
+      ASSERT_NE(latency, nullptr);
+      EXPECT_EQ(latency->count(), 4u);
+      obs::Histogram* batchSize =
+          registry.findHistogram("moloc_service_batch_size");
+      ASSERT_NE(batchSize, nullptr);
+      EXPECT_EQ(batchSize->count(), 1u);
+      EXPECT_DOUBLE_EQ(batchSize->sum(), 2.0);
 
-  obs::Gauge* active =
-      registry.findGauge("moloc_service_sessions_active");
-  ASSERT_NE(active, nullptr);
-  EXPECT_DOUBLE_EQ(active->value(), 3.0);
-  EXPECT_TRUE(svc.endSession(2));
-  EXPECT_DOUBLE_EQ(active->value(), 2.0);
+      obs::Gauge* active =
+          registry.findGauge("moloc_service_sessions_active");
+      ASSERT_NE(active, nullptr);
+      EXPECT_DOUBLE_EQ(active->value(), 3.0);
+      EXPECT_TRUE(svc.endSession(2));
+      EXPECT_DOUBLE_EQ(active->value(), 2.0);
 
-  // The pool and engine instruments land in the same registry.
-  EXPECT_NE(registry.findGauge("moloc_pool_queue_depth"), nullptr);
-  EXPECT_GE(
-      registry.findCounter("moloc_pool_tasks_total")->value(), 2.0);
-  // The batch rounds run fingerprint matching through the service's
-  // up-front kernel invocation, not the per-round engine stage: the
-  // engine's fingerprint stage counts only the two submitScan rounds,
-  // and the batch's matching time lands in the service-level
-  // batch-match histogram (one observation per batch).
-  obs::Histogram* fingerprintStage = registry.findHistogram(
-      "moloc_engine_stage_seconds", {{"stage", "fingerprint"}});
-  ASSERT_NE(fingerprintStage, nullptr);
-  EXPECT_EQ(fingerprintStage->count(), 2u);
-  obs::Histogram* batchMatch =
-      registry.findHistogram("moloc_service_batch_match_seconds");
-  ASSERT_NE(batchMatch, nullptr);
-  EXPECT_EQ(batchMatch->count(), 1u);
-  obs::Histogram* motionStage = registry.findHistogram(
-      "moloc_engine_stage_seconds", {{"stage", "motion"}});
-  ASSERT_NE(motionStage, nullptr);
-  EXPECT_EQ(motionStage->count(), 4u);
+      // Stage series count one to one (docs/observability.md): every
+      // round, whether it came through submitScan or localizeBatch,
+      // observes each engine stage exactly once.
+      for (const char* stage : {"fingerprint", "motion", "fusion"}) {
+        obs::Histogram* series = registry.findHistogram(
+            "moloc_engine_stage_seconds", {{"stage", stage}});
+        ASSERT_NE(series, nullptr) << stage;
+        EXPECT_EQ(series->count(), 4u) << stage;
+      }
+    }
+
+    // The pool instruments land in the same registry.  A worker counts
+    // a task only after the task's future is ready, so the count is
+    // read once the service (and its pool) has joined.
+    EXPECT_NE(registry.findGauge("moloc_pool_queue_depth"), nullptr);
+    EXPECT_GE(
+        registry.findCounter("moloc_pool_tasks_total")->value(), 2.0);
+  }
 }
 
 TEST(LocalizationService, FailedBatchRequestsCounted) {

@@ -179,7 +179,8 @@ TEST(TieredIndexTest, PinsDissimilarityForPartialOverlap) {
 
   // Query hears only AP 0, exactly like location 0.
   const radio::Fingerprint query{{-60.0, kFloorDbm}};
-  const auto matches = index.query(query, 2);
+  std::vector<radio::Match> matches;
+  index.queryInto(query, 2, matches);
   ASSERT_EQ(matches.size(), 2u);
   EXPECT_EQ(matches[0].location, 0u);
   EXPECT_EQ(matches[0].dissimilarity, 0.0);
@@ -204,21 +205,30 @@ TEST(TieredIndexTest, MirrorsQueryErrorContract) {
   const TieredIndex index(db);
   std::vector<radio::Match> out;
   const radio::Fingerprint query{{-50, -50, -50, -50, -50, -50}};
+  const radio::Fingerprint nanQuery{
+      {-50, std::numeric_limits<double>::quiet_NaN(), -50, -50, -50,
+       -50}};
+  const radio::Fingerprint infQuery{
+      {std::numeric_limits<double>::infinity(), -50, -50, -50, -50,
+       -50}};
+  const radio::Fingerprint shortQuery{{-50.0}};
 
+  // Both backends reject the same inputs with the same exception types.
   EXPECT_THROW(index.queryInto(query, 0, out), std::invalid_argument);
-  EXPECT_THROW(index.queryInto(
-                   radio::Fingerprint{
-                       {-50, std::numeric_limits<double>::quiet_NaN(),
-                        -50, -50, -50, -50}},
-                   3, out),
+  EXPECT_THROW(db->queryInto(query, 0, out), std::invalid_argument);
+  EXPECT_THROW(index.queryInto(nanQuery, 3, out), std::invalid_argument);
+  EXPECT_THROW(db->queryInto(nanQuery, 3, out), std::invalid_argument);
+  EXPECT_THROW(index.queryInto(infQuery, 3, out), std::invalid_argument);
+  EXPECT_THROW(db->queryInto(infQuery, 3, out), std::invalid_argument);
+  EXPECT_THROW(index.queryInto(shortQuery, 3, out),
                std::invalid_argument);
-  EXPECT_THROW(index.queryInto(radio::Fingerprint{{-50.0}}, 3, out),
-               std::invalid_argument);
+  EXPECT_THROW(db->queryInto(shortQuery, 3, out), std::invalid_argument);
 
   const auto empty = std::make_shared<radio::FingerprintDatabase>();
   const TieredIndex emptyIndex(empty);
   EXPECT_EQ(emptyIndex.entryCount(), 0u);
   EXPECT_THROW(emptyIndex.queryInto(query, 3, out), std::logic_error);
+  EXPECT_THROW(empty->queryInto(query, 3, out), std::logic_error);
 
   EXPECT_THROW(TieredIndex(nullptr), std::invalid_argument);
 
@@ -258,42 +268,6 @@ TEST(TieredIndexTest, SplitsOversizedShards) {
   EXPECT_THROW(index.shardInfo(index.shardCount()), std::out_of_range);
 }
 
-TEST(TieredIndexTest, BatchCapturesPerQueryErrors) {
-  const auto db = makeSparseDb(200, 6, 8);
-  IndexConfig config;
-  config.exhaustiveCheck = true;
-  const TieredIndex index(db, config);
-
-  util::Rng rng(17);
-  const radio::Fingerprint good = makeQuery(6, rng);
-  const radio::Fingerprint bad{
-      {std::numeric_limits<double>::infinity(), -50, -50, -50, -50,
-       -50}};
-  const std::vector<const radio::Fingerprint*> queries{&good, &bad,
-                                                       &good};
-  std::vector<std::vector<radio::Match>> out;
-  std::vector<std::exception_ptr> errors;
-  index.queryBatchInto(queries, 5, out, &errors);
-  ASSERT_EQ(out.size(), 3u);
-  ASSERT_EQ(errors.size(), 3u);
-  EXPECT_FALSE(errors[0]);
-  EXPECT_TRUE(errors[1]);
-  EXPECT_TRUE(out[1].empty());
-  EXPECT_FALSE(errors[2]);
-
-  std::vector<radio::Match> exact;
-  db->queryInto(good, 5, exact);
-  expectBitwiseEqual(exact, out[0]);
-  expectBitwiseEqual(exact, out[2]);
-
-  // Null errors: the first failure throws.
-  EXPECT_THROW(index.queryBatchInto(queries, 5, out),
-               std::invalid_argument);
-  // Database-wide preconditions always throw.
-  EXPECT_THROW(index.queryBatchInto(queries, 0, out, &errors),
-               std::invalid_argument);
-}
-
 TEST(TieredIndexTest, WorldSnapshotOwnsIndexImmutably) {
   const auto db = makeSparseDb(300, 8, 21);
   auto index = std::make_shared<const TieredIndex>(db);
@@ -309,7 +283,8 @@ TEST(TieredIndexTest, WorldSnapshotOwnsIndexImmutably) {
   const radio::Fingerprint query = makeQuery(8, rng);
   std::vector<radio::Match> exact;
   db->queryInto(query, 4, exact);
-  const auto tiered = snapshot->tieredIndex()->query(query, 4);
+  std::vector<radio::Match> tiered;
+  snapshot->tieredIndex()->queryInto(query, 4, tiered);
   expectBitwiseEqual(exact, tiered);
 }
 
