@@ -144,6 +144,30 @@ void makeWalSeeds(const fs::path& root) {
   writeFile(root / "regressions/wal/sequence-regression.bin", regression);
 }
 
+/// A version-1 checkpoint body up to the byte after the snapshot:
+/// header (throughSeq 1, matching the harness's file name) plus the
+/// snapshot of an empty default-config database.
+std::string emptyCheckpointPrefix() {
+  std::string body("MOLOCKPT", 8);
+  putU32(body, 1);   // version
+  putU64(body, 1);   // throughSeq
+  putF64(body, 15.0);  // coarseDirectionThresholdDeg
+  putF64(body, 2.0);   // coarseOffsetThresholdMeters
+  putF64(body, 3.0);   // fineSigmaMultiplier
+  putI32(body, 2);     // minSamplesPerPair
+  putF64(body, 1.0);   // minDirectionSigmaDeg
+  putF64(body, 0.05);  // minOffsetSigmaMeters
+  putU8(body, 1);      // enableCoarseFilter
+  putU8(body, 1);      // enableFineFilter
+  putU64(body, 4);     // capacity
+  putU64(body, 0);     // locationCount
+  for (int w = 0; w < 4; ++w) putU64(body, 0x9e3779b97f4a7c15ull + w);
+  for (int c = 0; c < 6; ++c) putU64(body, 0);  // counters
+  putU64(body, 0);  // reservoirs
+  putU64(body, 0);  // entries
+  return body;
+}
+
 void makeCheckpointSeeds(const fs::path& root) {
   moloc::env::FloorPlan plan(12.0, 4.0);
   plan.addReferenceLocation({2.0, 2.0});
@@ -159,44 +183,35 @@ void makeCheckpointSeeds(const fs::path& root) {
   data.throughSeq = 40;
   data.snapshot = db.snapshot();
   const fs::path dir = scratchDir("ckpt");
-  std::string path = moloc::store::writeCheckpointFile(dir.string(), data);
+  const std::string path =
+      moloc::store::writeCheckpointFile(dir.string(), data);
   writeFile(root / "checkpoint/no-fingerprints.bin", readFile(path));
-
-  moloc::radio::FingerprintDatabase radio;
-  radio.addLocation(0, moloc::radio::Fingerprint({-40.0, -70.5, -55.0}));
-  radio.addLocation(1, moloc::radio::Fingerprint({-60.0, -45.5, -80.0}));
-  data.fingerprints = radio;
-  data.throughSeq = 41;
-  path = moloc::store::writeCheckpointFile(dir.string(), data);
-  writeFile(root / "checkpoint/with-fingerprints.bin", readFile(path));
   fs::remove_all(dir);
 
-  // Regression: a CRC-valid checkpoint whose fingerprint block claims
-  // zero locations but a huge AP count — previously an allocation bomb
-  // (the AP count sized a buffer before any bounds check could fire).
-  std::string body("MOLOCKPT", 8);
-  putU32(body, 1);   // version
-  putU64(body, 1);   // throughSeq (matches the harness's file name)
-  // Snapshot: default config, empty database.
-  putF64(body, 15.0);  // coarseDirectionThresholdDeg
-  putF64(body, 2.0);   // coarseOffsetThresholdMeters
-  putF64(body, 3.0);   // fineSigmaMultiplier
-  putI32(body, 2);     // minSamplesPerPair
-  putF64(body, 1.0);   // minDirectionSigmaDeg
-  putF64(body, 0.05);  // minOffsetSigmaMeters
-  putU8(body, 1);      // enableCoarseFilter
-  putU8(body, 1);      // enableFineFilter
-  putU64(body, 4);     // capacity
-  putU64(body, 0);     // locationCount
-  for (int w = 0; w < 4; ++w) putU64(body, 0x9e3779b97f4a7c15ull + w);
-  for (int c = 0; c < 6; ++c) putU64(body, 0);  // counters
-  putU64(body, 0);  // reservoirs
-  putU64(body, 0);  // entries
-  putU8(body, 1);   // fingerprints present
-  putU64(body, 0);  // location count: zero...
-  putU64(body, 1ull << 40);  // ...but a terabyte-scale AP count
-  putU32(body, moloc::store::crc32c(body.data(), body.size()));
-  writeFile(root / "regressions/checkpoint/ap-count-bomb.bin", body);
+  // Regressions: the byte after the snapshot is reserved and must be
+  // zero; older files used a nonzero value to flag a radio-map block.
+  // Both inputs are CRC-valid and must be skipped, not decoded.
+  //
+  // A well-formed radio-map block of two locations by three APs.
+  std::string block = emptyCheckpointPrefix();
+  putU8(block, 1);  // reserved byte set
+  putU64(block, 2);  // locations
+  putU64(block, 3);  // APs
+  putI32(block, 0);
+  for (const double rss : {-40.0, -70.5, -55.0}) putF64(block, rss);
+  putI32(block, 1);
+  for (const double rss : {-60.0, -45.5, -80.0}) putF64(block, rss);
+  putU32(block, moloc::store::crc32c(block.data(), block.size()));
+  writeFile(root / "regressions/checkpoint/fingerprint-block.bin", block);
+  // A block claiming zero locations but a terabyte-scale AP count —
+  // once an allocation bomb, when the AP count sized a buffer before
+  // any bounds check could fire.
+  std::string bomb = emptyCheckpointPrefix();
+  putU8(bomb, 1);  // reserved byte set
+  putU64(bomb, 0);  // location count: zero...
+  putU64(bomb, 1ull << 40);  // ...but a terabyte-scale AP count
+  putU32(bomb, moloc::store::crc32c(bomb.data(), bomb.size()));
+  writeFile(root / "regressions/checkpoint/ap-count-bomb.bin", bomb);
 }
 
 void makeSerializationSeeds(const fs::path& root) {
@@ -312,16 +327,14 @@ void makeImageSeeds(const fs::path& root) {
   {
     const moloc::core::WorldSnapshot world(db, motion, /*generation=*/7,
                                            /*intakeRecords=*/21, index);
-    image::writeVenueImage((dir / "a.img").string(), world,
-                           {/*fsync=*/false});
+    image::writeVenueImage((dir / "a.img").string(), world);
   }
   const std::string withIndex = readFile(dir / "a.img");
   writeFile(root / "image/with-index.img", withIndex);
   {
     const moloc::core::WorldSnapshot world(db, motion, /*generation=*/7,
                                            /*intakeRecords=*/21, nullptr);
-    image::writeVenueImage((dir / "b.img").string(), world,
-                           {/*fsync=*/false});
+    image::writeVenueImage((dir / "b.img").string(), world);
   }
   writeFile(root / "image/no-index.img", readFile(dir / "b.img"));
   fs::remove_all(dir);

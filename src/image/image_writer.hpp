@@ -8,13 +8,6 @@
 
 namespace moloc::image {
 
-struct ImageWriteOptions {
-  /// fsync the image and its directory before rename-publishing (the
-  /// store's atomic-publish discipline).  Off only for benches that
-  /// measure serialization without the disk flush.
-  bool fsync = true;
-};
-
 /// What writeVenueImage produced (logging and benches).
 struct ImageWriteInfo {
   std::uint64_t bytes = 0;
@@ -36,7 +29,6 @@ struct ImageWriteInfo {
 /// Throws ImageError on semantic violations (null fingerprints, id
 /// outside the adjacency) and store::StoreError on I/O failures.
 ImageWriteInfo writeVenueImage(const std::string& path,
-                               const core::WorldSnapshot& world,
-                               ImageWriteOptions options = {});
+                               const core::WorldSnapshot& world);
 
 }  // namespace moloc::image

@@ -19,9 +19,13 @@ namespace {
 constexpr char kMagic[8] = {'M', 'O', 'L', 'O', 'C', 'K', 'P', 'T'};
 constexpr std::uint32_t kVersion = 1;
 constexpr std::size_t kCrcBytes = 4;
+/// The byte between the snapshot and the CRC.  Version-1 files once
+/// used it to flag an optional radio-map block; every file written
+/// since carries 0, and a nonzero value is rejected as invalid.
+constexpr std::uint8_t kReserved = 0;
 /// Smallest possible encoding: magic(8) + version(4) + throughSeq(8) +
 /// config(46) + capacity/locationCount(16) + rng(32) + counters(48) +
-/// two zero counts(16) + absent fingerprints(1) + CRC(4).
+/// two zero counts(16) + reserved(1) + CRC(4).
 constexpr std::size_t kMinFileBytes =
     8 + 4 + 8 + 46 + 16 + 32 + 48 + 16 + 1 + kCrcBytes;
 
@@ -166,49 +170,6 @@ core::OnlineMotionDatabase::Snapshot decodeSnapshot(detail::Cursor& in) {
   return s;
 }
 
-void encodeFingerprints(std::string& out,
-                        const std::optional<radio::FingerprintDatabase>& db) {
-  if (!db) {
-    detail::putU8(out, 0);
-    return;
-  }
-  detail::putU8(out, 1);
-  const auto ids = db->locationIds();
-  detail::putU64(out, ids.size());
-  detail::putU64(out, db->apCount());
-  for (const env::LocationId id : ids) {
-    detail::putI32(out, id);
-    for (const double rss : db->entry(id).values()) detail::putF64(out, rss);
-  }
-}
-
-std::optional<radio::FingerprintDatabase> decodeFingerprints(
-    detail::Cursor& in) {
-  if (in.readU8() == 0) return std::nullopt;
-  const std::uint64_t count = checkedCount(in, 4);
-  const std::uint64_t apCount = in.readU64();
-  // The zero-location case must be bounded too: sizing `rss` from an
-  // unvalidated apCount was an allocation bomb when count == 0 (found
-  // by the checkpoint fuzz target; fuzz/corpus/regressions).
-  if (count == 0) {
-    if (apCount != 0)
-      throw CorruptionError(
-          "fingerprint block claims " + std::to_string(apCount) +
-          " APs with no locations");
-    return radio::FingerprintDatabase{};
-  }
-  if (apCount > in.remaining() / (8 * count))
-    throw CorruptionError("fingerprint dimensions exceed remaining data");
-  radio::FingerprintDatabase db;
-  std::vector<double> rss(apCount);
-  for (std::uint64_t e = 0; e < count; ++e) {
-    const env::LocationId id = in.readI32();
-    for (auto& value : rss) value = in.readF64();
-    db.addLocation(id, radio::Fingerprint(rss));
-  }
-  return db;
-}
-
 struct CheckpointFile {
   std::uint64_t seq = 0;
   std::string path;
@@ -256,7 +217,9 @@ CheckpointData decodeCheckpoint(const std::string& buffer,
   CheckpointData data;
   data.throughSeq = in.readU64();
   data.snapshot = decodeSnapshot(in);
-  data.fingerprints = decodeFingerprints(in);
+  if (in.readU8() != kReserved)
+    throw CorruptionError("nonzero reserved byte in checkpoint '" + path +
+                          "'");
   if (in.remaining() != 0)
     throw CorruptionError("trailing garbage in checkpoint '" + path + "'");
   return data;
@@ -278,7 +241,7 @@ std::string writeCheckpointFile(const std::string& dir,
   detail::putU32(body, kVersion);
   detail::putU64(body, data.throughSeq);
   encodeSnapshot(body, data.snapshot);
-  encodeFingerprints(body, data.fingerprints);
+  detail::putU8(body, kReserved);
   detail::putU32(body, crc32c(body.data(), body.size()));
 
   const std::string path = dir + "/" + checkpointFileName(data.throughSeq);
@@ -298,11 +261,6 @@ std::optional<CheckpointLoadResult> loadNewestCheckpoint(
     try {
       result.data = decodeCheckpoint(buffer, file.path);
     } catch (const CorruptionError&) {
-      ++result.skippedInvalid;
-      continue;
-    } catch (const std::exception&) {
-      // Structurally invalid contents (e.g. a fingerprint id repeated):
-      // same treatment as a CRC failure — skip, keep looking.
       ++result.skippedInvalid;
       continue;
     }

@@ -5,19 +5,18 @@
 #include <string>
 
 #include "core/online_motion_database.hpp"
-#include "radio/fingerprint_database.hpp"
 
 namespace moloc::store {
 
 /// One checkpoint: the full intake state as of WAL sequence
-/// `throughSeq`, plus (optionally) the radio map, which a deployment
-/// usually wants co-located with the motion state it was serving.
+/// `throughSeq`.  Only the crowdsourced motion state lives here; the
+/// surveyed radio map travels as text (src/io) or a venue image
+/// (src/image).
 struct CheckpointData {
   /// Every WAL record with seq <= throughSeq is subsumed by this
   /// checkpoint; recovery replays only records after it.
   std::uint64_t throughSeq = 0;
   core::OnlineMotionDatabase::Snapshot snapshot;
-  std::optional<radio::FingerprintDatabase> fingerprints;
 };
 
 /// Serializes `data` (binary, little-endian, CRC32C-sealed) and
@@ -33,8 +32,8 @@ struct CheckpointLoadResult {
   CheckpointData data;
   std::string path;
   /// Newer checkpoint files that failed validation (bad CRC, torn
-  /// rename fallout, wrong version) and were skipped on the way to
-  /// this one.
+  /// rename fallout, wrong version, nonzero reserved byte) and were
+  /// skipped on the way to this one.
   std::uint64_t skippedInvalid = 0;
 };
 

@@ -115,8 +115,7 @@ void StateStore::onAccepted(env::LocationId estimatedStart,
 
 CheckpointInfo StateStore::checkpoint(
     const core::OnlineMotionDatabase::Snapshot& snapshot,
-    std::uint64_t throughSeq,
-    const std::optional<radio::FingerprintDatabase>& fingerprints) {
+    std::uint64_t throughSeq) {
   const auto start = std::chrono::steady_clock::now();
   // Serializes concurrent checkpoint() calls: two at once would write
   // the same '<path>.tmp' (O_TRUNC) and could interleave, publishing a
@@ -143,7 +142,6 @@ CheckpointInfo StateStore::checkpoint(
   CheckpointData data;
   data.throughSeq = throughSeq;
   data.snapshot = snapshot;
-  data.fingerprints = fingerprints;
   info.path = writeCheckpointFile(dir_, data);
 
   {
@@ -188,9 +186,8 @@ CheckpointInfo StateStore::checkpoint(
 }
 
 CheckpointInfo StateStore::checkpointNow(
-    const core::OnlineMotionDatabase& db,
-    const std::optional<radio::FingerprintDatabase>& fingerprints) {
-  return checkpoint(db.snapshot(), lastSeq(), fingerprints);
+    const core::OnlineMotionDatabase& db) {
+  return checkpoint(db.snapshot(), lastSeq());
 }
 
 void StateStore::sync() {
@@ -242,7 +239,6 @@ RecoveryResult recover(const std::string& dir,
     result.checkpointSeq = loaded->data.throughSeq;
     result.checkpointPath = loaded->path;
     result.invalidCheckpoints = loaded->skippedInvalid;
-    result.fingerprints = std::move(loaded->data.fingerprints);
     result.lastSeq = result.checkpointSeq;
   }
 

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -10,7 +9,6 @@
 #include "image/image_loader.hpp"
 #include "image/image_writer.hpp"
 #include "obs/metrics.hpp"
-#include "radio/fingerprint_database.hpp"
 #include "store/checkpoint.hpp"
 #include "store/wal.hpp"
 #include "util/mutex.hpp"
@@ -75,17 +73,12 @@ class StateStore final : public core::ObservationSink {
   /// (snapshot() and lastSeq() with no addObservation between them).
   CheckpointInfo checkpoint(
       const core::OnlineMotionDatabase::Snapshot& snapshot,
-      std::uint64_t throughSeq,
-      const std::optional<radio::FingerprintDatabase>& fingerprints =
-          std::nullopt);
+      std::uint64_t throughSeq);
 
   /// Convenience for single-threaded callers (examples, tests, batch
   /// jobs): snapshots `db` and checkpoints it at the current lastSeq().
   /// Requires that no other thread is feeding `db` concurrently.
-  CheckpointInfo checkpointNow(
-      const core::OnlineMotionDatabase& db,
-      const std::optional<radio::FingerprintDatabase>& fingerprints =
-          std::nullopt);
+  CheckpointInfo checkpointNow(const core::OnlineMotionDatabase& db);
 
   /// Forces the WAL to disk regardless of fsync policy.
   void sync();
@@ -176,8 +169,6 @@ struct RecoveryResult {
   bool droppedTornTail = false;
   std::uint64_t tailBytesDropped = 0;
   std::uint64_t lastSeq = 0;  ///< Highest sequence recovered.
-  /// The radio map the newest checkpoint carried, if any.
-  std::optional<radio::FingerprintDatabase> fingerprints;
 };
 
 /// Rebuilds `db` from the store directory: loads the newest valid

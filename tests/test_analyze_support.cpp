@@ -134,7 +134,10 @@ TEST(AnalyzeRules, DirectoryScopedRules) {
   EXPECT_TRUE(ma::inScope("raw-eintr", "src/store/wal.cpp"));
   EXPECT_TRUE(ma::inScope("raw-eintr", "src/net/server.cpp"));
   EXPECT_TRUE(ma::inScope("raw-eintr", "src/image/image_loader.cpp"));
+  EXPECT_TRUE(ma::inScope("raw-eintr", "src/net/molocd_main.cpp"));
+  EXPECT_TRUE(ma::inScope("raw-eintr", "src/image/image_writer.cpp"));
   EXPECT_FALSE(ma::inScope("raw-eintr", "src/core/motion_matcher.cpp"));
+  EXPECT_FALSE(ma::inScope("raw-eintr", "src/util/retry_eintr.hpp"));
 
   EXPECT_TRUE(ma::inScope("narrowing-length", "src/net/wire.cpp"));
   EXPECT_TRUE(ma::inScope("narrowing-length", "src/image/image_writer.cpp"));
@@ -145,6 +148,16 @@ TEST(AnalyzeRules, DirectoryScopedRules) {
   EXPECT_TRUE(ma::inScope("fp-determinism", "src/index/tiered_index.cpp"));
   EXPECT_TRUE(ma::inScope("fp-determinism", "src/radio/fingerprint.cpp"));
   EXPECT_FALSE(ma::inScope("fp-determinism", "src/net/wire.cpp"));
+}
+
+TEST(AnalyzeRules, HygieneRulesCoverAllOfSrc) {
+  // moloc_check is the only enforcement of these rules, so their scope
+  // is every source file, src/util/ included.
+  for (const char* rule : {"naked-new", "rand", "cout"}) {
+    EXPECT_TRUE(ma::inScope(rule, "src/core/moloc_engine.cpp")) << rule;
+    EXPECT_TRUE(ma::inScope(rule, "src/net/server.hpp")) << rule;
+    EXPECT_TRUE(ma::inScope(rule, "src/util/rng.hpp")) << rule;
+  }
 }
 
 TEST(AnalyzeRules, RepoRelativeNormalizesDotSegments) {

@@ -134,36 +134,43 @@ TEST_F(CheckpointTest, FileRoundTripIsExact) {
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->data.throughSeq, 42u);
   EXPECT_EQ(loaded->skippedInvalid, 0u);
-  EXPECT_FALSE(loaded->data.fingerprints.has_value());
 
   core::OnlineMotionDatabase restored(plan_);
   restored.restore(loaded->data.snapshot);
   expectIdenticalState(db, restored);
 }
 
-TEST_F(CheckpointTest, FingerprintsRoundTrip) {
-  const std::string dir = freshDir("fps");
-  radio::FingerprintDatabase fps;
-  fps.addLocation(0, radio::Fingerprint({-40.0, -55.5, -71.25}));
-  fps.addLocation(2, radio::Fingerprint({-42.0, -50.0, -60.0}));
+TEST_F(CheckpointTest, CommittedFileReloadsAndRewritesByteForByte) {
+  // The committed seed was produced by the checkpoint writer from
+  // populatedDb() at throughSeq 40.  Loading it and writing it back
+  // must reproduce it exactly: the on-disk format is pinned by bytes
+  // already on disk, not just by a round trip through today's code.
+  const auto readBytes = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+  };
+  const std::string committed = readBytes(
+      std::string(MOLOC_FUZZ_CORPUS_DIR) + "/checkpoint/no-fingerprints.bin");
+  ASSERT_FALSE(committed.empty());
 
-  CheckpointData data;
-  data.throughSeq = 1;
-  data.snapshot = core::OnlineMotionDatabase(plan_).snapshot();
-  data.fingerprints = fps;
-  writeCheckpointFile(dir, data);
-
+  const std::string dir = freshDir("committed");
+  std::filesystem::create_directories(dir);
+  std::ofstream(dir + "/checkpoint-00000000000000000040.ckpt",
+                std::ios::binary)
+      << committed;
   const auto loaded = loadNewestCheckpoint(dir);
   ASSERT_TRUE(loaded.has_value());
-  ASSERT_TRUE(loaded->data.fingerprints.has_value());
-  const auto& back = *loaded->data.fingerprints;
-  EXPECT_EQ(back.size(), 2u);
-  EXPECT_EQ(back.apCount(), 3u);
-  EXPECT_EQ(back.locationIds(), fps.locationIds());
-  for (const auto id : fps.locationIds())
-    for (std::size_t i = 0; i < fps.apCount(); ++i)
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(back.entry(id)[i]),
-                std::bit_cast<std::uint64_t>(fps.entry(id)[i]));
+  EXPECT_EQ(loaded->data.throughSeq, 40u);
+  EXPECT_EQ(loaded->skippedInvalid, 0u);
+
+  core::OnlineMotionDatabase restored(plan_);
+  restored.restore(loaded->data.snapshot);
+  expectIdenticalState(*populatedDb(), restored);
+
+  const std::string path =
+      writeCheckpointFile(freshDir("rewritten"), loaded->data);
+  EXPECT_EQ(readBytes(path), committed);
 }
 
 TEST_F(CheckpointTest, EmptyDirectoryLoadsNothing) {

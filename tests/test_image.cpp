@@ -324,8 +324,7 @@ TEST(VenueImage, WorldWithoutIndexRoundTripsWithoutIndexSections) {
   const std::string dir = freshDir("noindex");
   const std::string path = dir + "/venue.img";
   const auto world = makeWorld(60, 6, 67, /*withIndex=*/false);
-  const ImageWriteInfo info =
-      writeVenueImage(path, *world, {/*fsync=*/false});
+  const ImageWriteInfo info = writeVenueImage(path, *world);
   EXPECT_EQ(info.sections, 6u);
 
   const VenueImage image = VenueImage::open(path);

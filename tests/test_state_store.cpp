@@ -509,30 +509,6 @@ TEST_F(StateStoreTest, CheckpointRejectsFutureSeq) {
                std::invalid_argument);
 }
 
-TEST_F(StateStoreTest, CheckpointCarriesFingerprints) {
-  const std::string dir = freshDir("fps");
-  auto db = makeDb();
-  StoreConfig config;
-  config.wal.fsync = FsyncPolicy::kNone;
-  StateStore store(dir, config);
-  db.setSink(&store);
-  for (const auto& o : mixedStream(30))
-    db.addObservation(o.start, o.end, o.directionDeg, o.offsetMeters);
-
-  radio::FingerprintDatabase fps;
-  fps.addLocation(0, radio::Fingerprint({-40.0, -55.0}));
-  fps.addLocation(1, radio::Fingerprint({-45.0, -50.0}));
-  store.checkpointNow(db, fps);
-  db.setSink(nullptr);
-
-  auto recovered = makeDb(999);
-  const RecoveryResult result = recover(dir, recovered);
-  ASSERT_TRUE(result.fingerprints.has_value());
-  EXPECT_EQ(result.fingerprints->size(), 2u);
-  EXPECT_EQ(result.fingerprints->entry(1)[0], -45.0);
-  expectIdenticalState(db, recovered);
-}
-
 TEST_F(StateStoreTest, RecoveredDatabaseContinuesInLockstep) {
   const std::string dir = freshDir("lockstep");
   auto db = makeDb();

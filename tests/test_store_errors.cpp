@@ -121,9 +121,12 @@ TEST(StoreErrors, TruncatedCheckpointHeaderIsSkipped) {
 
 TEST(StoreErrors, CheckpointApCountBombIsRejectedWithoutAllocating) {
   const std::string dir = freshDir("ckpt_bomb");
-  // CRC-valid checkpoint whose fingerprint block claims zero locations
-  // but 2^40 APs.  Before the fix the decoder sized an rss buffer from
-  // the unvalidated AP count — a multi-terabyte allocation attempt.
+  // CRC-valid checkpoint carrying the old optional radio-map block:
+  // zero locations but 2^40 APs.  A decoder that once read that block
+  // sized an rss buffer from the unvalidated AP count — a
+  // multi-terabyte allocation attempt.  The byte after the snapshot is
+  // now reserved, so the input is rejected right there, before any of
+  // the block is read.
   std::string body("MOLOCKPT", 8);
   detail::putU32(body, 1);  // version
   detail::putU64(body, 1);  // throughSeq
@@ -141,7 +144,7 @@ TEST(StoreErrors, CheckpointApCountBombIsRejectedWithoutAllocating) {
   for (int c = 0; c < 6; ++c) detail::putU64(body, 0);       // counters
   detail::putU64(body, 0);  // reservoirs
   detail::putU64(body, 0);  // entries
-  detail::putU8(body, 1);   // fingerprints present
+  detail::putU8(body, 1);   // reserved byte, nonzero
   detail::putU64(body, 0);  // zero locations...
   detail::putU64(body, std::uint64_t{1} << 40);  // ...2^40 APs
   detail::putU32(body, crc32c(body.data(), body.size()));
