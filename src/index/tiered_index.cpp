@@ -30,6 +30,26 @@ bool allFinite(const radio::Fingerprint& fp) {
   return true;
 }
 
+/// Transposes the 8x8 bit matrix held in `x` (row i = byte i, column
+/// j = bit j of that byte) with three masked delta-swaps.
+std::uint64_t transposeBits8x8(std::uint64_t x) {
+  std::uint64_t t = (x ^ (x >> 7)) & 0x00AA00AA00AA00AAull;
+  x ^= t ^ (t << 7);
+  t = (x ^ (x >> 14)) & 0x0000CCCC0000CCCCull;
+  x ^= t ^ (t << 14);
+  t = (x ^ (x >> 28)) & 0x00000000F0F0F0F0ull;
+  x ^= t ^ (t << 28);
+  return x;
+}
+
+/// Byte `g` of counters[0..7], as the rows of an 8x8 bit matrix.
+std::uint64_t counterBytes(const std::uint64_t* counters, std::size_t g) {
+  std::uint64_t x = 0;
+  for (std::size_t d = 0; d < 8; ++d)
+    x |= ((counters[d] >> (8 * g)) & 0xFFu) << (8 * d);
+  return x;
+}
+
 }  // namespace
 
 struct TieredIndex::ScanWorkspace {
@@ -41,7 +61,7 @@ struct TieredIndex::ScanWorkspace {
   std::vector<std::uint32_t> histogram;
   std::vector<std::uint32_t> scannedShards;
   std::vector<std::uint32_t> shortlist;
-  kernel::FlatMatrix scratch;
+  std::vector<std::span<const double>> shortlistRows;
   std::vector<double> distances;
   std::vector<kernel::TopKEntry> topk;
   std::vector<double> fullDistances;
@@ -194,11 +214,25 @@ TieredIndex::Shard TieredIndex::buildShard(std::size_t rowBegin,
   shard.minBucket = shard.minBucketStorage;
   shard.maxBucket = shard.maxBucketStorage;
   shard.slab = shard.slabStorage;
+  finishShard(shard);
+  return shard;
+}
 
-  const std::size_t maxDistance = shard.activeAps.size() * planeCount;
+void TieredIndex::finishShard(Shard& shard) const {
+  const std::size_t maxDistance =
+      shard.activeAps.size() *
+      static_cast<std::size_t>(config_.quantizer.bucketCount - 1);
   shard.counterDepth =
       maxDistance == 0 ? 0 : static_cast<int>(std::bit_width(maxDistance));
-  return shard;
+
+  // Scanned against an all-zero query, the slab yields every entry's
+  // bucket mass over the shard's active APs.
+  const std::vector<std::uint8_t> zeroQuery(db_->apCount(), 0);
+  std::vector<std::uint32_t> mass(shard.rowEnd - shard.rowBegin);
+  scanShard(shard, zeroQuery.data(), mass.data());
+  const auto [lo, hi] = std::minmax_element(mass.begin(), mass.end());
+  shard.minMass = *lo;
+  shard.maxMass = *hi;
 }
 
 TieredIndex TieredIndex::fromImageViews(
@@ -267,10 +301,7 @@ TieredIndex TieredIndex::fromImageViews(
     shard.minBucket = v.minBucket;
     shard.maxBucket = v.maxBucket;
     shard.slab = v.slab;
-    const std::size_t maxDistance = v.activeAps.size() * planeCount;
-    shard.counterDepth =
-        maxDistance == 0 ? 0
-                         : static_cast<int>(std::bit_width(maxDistance));
+    index.finishShard(shard);
     index.shards_.push_back(std::move(shard));
   }
   if (nextRow != n)
@@ -298,8 +329,7 @@ ShardView TieredIndex::shardView(std::size_t shard) const {
 
 void TieredIndex::scanShard(const Shard& shard,
                             const std::uint8_t* qBuckets,
-                            std::uint32_t offset,
-                            ScanWorkspace& ws) const {
+                            std::uint32_t* distances) const {
   const std::size_t planeCount =
       static_cast<std::size_t>(config_.quantizer.bucketCount - 1);
   const std::size_t count = shard.rowEnd - shard.rowBegin;
@@ -327,17 +357,22 @@ void TieredIndex::scanShard(const Shard& shard,
       }
     }
 
+    // Read the counters out eight entries at a time: byte g of
+    // counters[0..7] transposed holds the low distance byte of entries
+    // 8g..8g+7, and counters[8..15] (zero unless depth > 8) the high
+    // byte.
     const std::size_t blockCount =
         std::min(kBlockEntries, count - w * kBlockEntries);
-    const std::size_t rowBase = shard.rowBegin + w * kBlockEntries;
-    for (std::size_t e = 0; e < blockCount; ++e) {
-      std::uint32_t distance = 0;
-      for (int d = 0; d < depth; ++d)
-        distance |= static_cast<std::uint32_t>((counters[d] >> e) & 1u)
-                    << d;
-      distance += offset;
-      ws.rowDistance[rowBase + e] = distance;
-      ++ws.histogram[std::min(distance, kHistogramCap - 1)];
+    std::uint32_t* out = distances + w * kBlockEntries;
+    for (std::size_t g = 0; 8 * g < blockCount; ++g) {
+      const std::uint64_t low = transposeBits8x8(counterBytes(counters, g));
+      const std::uint64_t high =
+          depth > 8 ? transposeBits8x8(counterBytes(counters + 8, g)) : 0;
+      const std::size_t lanes = std::min<std::size_t>(8, blockCount - 8 * g);
+      for (std::size_t e = 0; e < lanes; ++e)
+        out[8 * g + e] =
+            static_cast<std::uint32_t>((low >> (8 * e)) & 0xFFu) |
+            static_cast<std::uint32_t>((high >> (8 * e)) & 0xFFu) << 8;
     }
   }
 }
@@ -365,26 +400,33 @@ void TieredIndex::queryInto(const radio::Fingerprint& query,
     totalQ += ws.qBuckets[c];
   }
 
-  // Per-shard lower bound on the bucket-space distance: active APs
-  // contribute their distance to the shard's bucket range, shard-silent
+  // Per-shard lower bound on the bucket-space distance.  Shard-silent
   // APs contribute the full query bucket (entry bucket is 0 there).
+  // Over the active APs two bounds hold and the larger is taken: the
+  // sum of each AP's distance to the shard's bucket range, and the
+  // distance of the query's mass to the shard's entry-mass range
+  // (sum |q - e| >= |sum q - sum e|).
   ws.shardLb.resize(shards_.size());
   ws.shardOffset.resize(shards_.size());
   ws.order.resize(shards_.size());
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     const Shard& shard = shards_[s];
-    std::uint32_t bound = 0;
+    std::uint32_t rangeBound = 0;
     std::uint32_t activeQ = 0;
     for (std::size_t a = 0; a < shard.activeAps.size(); ++a) {
       const std::uint8_t q = ws.qBuckets[shard.activeAps[a]];
       activeQ += q;
       if (q < shard.minBucket[a])
-        bound += shard.minBucket[a] - q;
+        rangeBound += shard.minBucket[a] - q;
       else if (q > shard.maxBucket[a])
-        bound += q - shard.maxBucket[a];
+        rangeBound += q - shard.maxBucket[a];
     }
+    const std::uint32_t massBound =
+        activeQ < shard.minMass   ? shard.minMass - activeQ
+        : activeQ > shard.maxMass ? activeQ - shard.maxMass
+                                  : 0;
     ws.shardOffset[s] = totalQ - activeQ;
-    ws.shardLb[s] = bound + ws.shardOffset[s];
+    ws.shardLb[s] = std::max(rangeBound, massBound) + ws.shardOffset[s];
     ws.order[s] = static_cast<std::uint32_t>(s);
   }
   std::sort(ws.order.begin(), ws.order.end(),
@@ -409,9 +451,15 @@ void TieredIndex::queryInto(const radio::Fingerprint& query,
     if (thresholdSet &&
         ws.shardLb[s] > threshold + config_.marginBuckets)
       break;
-    scanShard(shards_[s], ws.qBuckets.data(), ws.shardOffset[s], ws);
+    const Shard& shard = shards_[s];
+    std::uint32_t* distances = ws.rowDistance.data() + shard.rowBegin;
+    scanShard(shard, ws.qBuckets.data(), distances);
+    for (std::size_t e = 0; e < shard.rowEnd - shard.rowBegin; ++e) {
+      distances[e] += ws.shardOffset[s];
+      ++ws.histogram[std::min(distances[e], kHistogramCap - 1)];
+    }
     ws.scannedShards.push_back(s);
-    scanned += shards_[s].rowEnd - shards_[s].rowBegin;
+    scanned += shard.rowEnd - shard.rowBegin;
     if (scanned >= wanted) {
       std::size_t cumulative = 0;
       for (std::uint32_t bin = 0; bin < kHistogramCap; ++bin) {
@@ -439,19 +487,17 @@ void TieredIndex::queryInto(const radio::Fingerprint& query,
         ws.shortlist.push_back(static_cast<std::uint32_t>(r));
   }
 
-  // Exact tier: gather the shortlist and run the same kernel pipeline
-  // as FingerprintDatabase::queryInto.  Row sums are independent
-  // of their block neighbours, so the gathered distances are bitwise
-  // the full-scan distances of those rows.
-  ws.scratch.reset(apCount);
+  // Exact tier: the shortlisted rows are re-ranked where they live,
+  // then selected as in FingerprintDatabase::queryInto.  The row
+  // kernel sums each row in the full-scan kernel's column order, so
+  // the distances are bitwise the full-scan distances of those rows.
+  ws.shortlistRows.clear();
   for (const std::uint32_t r : ws.shortlist)
-    ws.scratch.appendRow(rowValues_[r]);
-  ws.distances.resize(ws.scratch.paddedRows());
-  kernel::squaredDistances(ws.scratch, query.values().data(),
-                           ws.distances.data());
-  kernel::selectSmallestK(
-      std::span<const double>(ws.distances.data(), ws.scratch.rows()), k,
-      ws.topk);
+    ws.shortlistRows.push_back(rowValues_[r]);
+  ws.distances.resize(ws.shortlist.size());
+  kernel::squaredDistancesRows(ws.shortlistRows, query.values(),
+                               ws.distances.data());
+  kernel::selectSmallestK(ws.distances, k, ws.topk);
 
   out.clear();
   out.reserve(ws.topk.size());

@@ -99,15 +99,21 @@ struct ShardView {
 /// why a city-scale venue scans only the shards near the query.
 ///
 /// A query quantizes once, orders shards by a per-shard lower bound on
-/// the bucket-space L1 distance (silent-in-shard APs contribute their
-/// full query bucket; active APs contribute their distance to the
-/// shard's per-AP bucket range), scans shards in that order while
+/// the bucket-space L1 distance, scans shards in that order while
 /// maintaining the running minShortlist-th best distance, and stops
 /// once the next shard's bound exceeds it by more than marginBuckets.
-/// The surviving shortlist is gathered in ascending row order and
-/// re-ranked exactly by the kernel::squaredDistances /
-/// selectSmallestK pipeline — so whenever the shortlist contains the
-/// true top-k (audited by exhaustiveCheck), results are
+/// Silent-in-shard APs contribute their full query bucket to the
+/// bound.  Over the active APs it takes the larger of two bounds: the
+/// sum of each AP's distance to the shard's [minBucket, maxBucket]
+/// range, and the distance of the query's bucket mass to the shard's
+/// [minMass, maxMass] entry-mass range (sum |q - e| >= |sum q - sum
+/// e|).  The mass range is derived from the slab when a shard is built
+/// or adopted from an image, so the image does not store it.  Skipped
+/// shards only hold entries above the admission threshold, so the
+/// shortlist is the same set of rows whatever is pruned.  It is kept
+/// in ascending row order and re-ranked exactly, in place, by
+/// kernel::squaredDistancesRows / selectSmallestK — so whenever it
+/// contains the true top-k (audited by exhaustiveCheck), results are
 /// bitwise-identical to FingerprintDatabase::queryInto, ties
 /// included.
 ///
@@ -194,6 +200,11 @@ class TieredIndex {
     std::span<const std::uint64_t> slab;
     /// Bits per vertical scan counter: bit_width(activeAps * (B-1)).
     int counterDepth = 0;
+    /// Range of the entries' bucket mass (sum of entry buckets over
+    /// activeAps), for the query-time lower bound.  Derived from the
+    /// slab, so a venue image does not store it.
+    std::uint32_t minMass = 0;
+    std::uint32_t maxMass = 0;
   };
 
   struct ScanWorkspace;
@@ -203,8 +214,13 @@ class TieredIndex {
   TieredIndex() = default;
 
   Shard buildShard(std::size_t rowBegin, std::size_t rowEnd) const;
+  /// Sets the fields derived from a shard's spans: counterDepth and
+  /// the mass range.
+  void finishShard(Shard& shard) const;
+  /// Writes each entry's bucket-space distance over the shard's active
+  /// APs to distances[0 .. rowEnd - rowBegin).
   void scanShard(const Shard& shard, const std::uint8_t* qBuckets,
-                 std::uint32_t offset, ScanWorkspace& ws) const;
+                 std::uint32_t* distances) const;
 
   std::shared_ptr<const radio::FingerprintDatabase> db_;
   IndexConfig config_;

@@ -37,6 +37,9 @@ namespace detail {
 void squaredDistancesAvx2(const double* data, std::size_t paddedRows,
                           std::size_t cols, const double* query,
                           double* out);
+void squaredDistancesRowsAvx2(const std::span<const double>* rows,
+                              std::size_t count, std::size_t cols,
+                              const double* query, double* out);
 std::size_t findBelowAvx2(const double* values, std::size_t begin,
                           std::size_t end, double threshold);
 }  // namespace detail
@@ -139,6 +142,45 @@ void squaredDistances(const FlatMatrix& m, const double* query,
   }
 #endif
   squaredDistancesScalar(m, query, out);
+}
+
+namespace {
+
+void checkRowLengths(std::span<const std::span<const double>> rows,
+                     std::size_t cols) {
+  for (const std::span<const double> row : rows)
+    if (row.size() != cols)
+      throw util::ConfigError("squaredDistancesRows: row length mismatch");
+}
+
+}  // namespace
+
+void squaredDistancesRowsScalar(
+    std::span<const std::span<const double>> rows,
+    std::span<const double> query, double* out) {
+  checkRowLengths(rows, query.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const double* row = rows[i].data();
+    double acc = 0.0;
+    for (std::size_t c = 0; c < query.size(); ++c) {
+      const double d = query[c] - row[c];
+      acc += d * d;
+    }
+    out[i] = acc;
+  }
+}
+
+void squaredDistancesRows(std::span<const std::span<const double>> rows,
+                          std::span<const double> query, double* out) {
+#if MOLOC_SIMD_ENABLED
+  if (useAvx2()) {
+    checkRowLengths(rows, query.size());
+    detail::squaredDistancesRowsAvx2(rows.data(), rows.size(),
+                                     query.size(), query.data(), out);
+    return;
+  }
+#endif
+  squaredDistancesRowsScalar(rows, query, out);
 }
 
 namespace {

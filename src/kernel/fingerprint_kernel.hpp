@@ -111,6 +111,21 @@ void squaredDistances(const FlatMatrix& m, const double* query,
 void squaredDistancesScalar(const FlatMatrix& m, const double* query,
                             double* out);
 
+/// out[i] = sum_c (query[c] - rows[i][c])^2 over rows that live
+/// anywhere in memory — the re-rank of a shortlist in place, with no
+/// copy into a FlatMatrix.  Same per-row column order as
+/// squaredDistances, so a row's result is bitwise the same through
+/// either entry and every dispatch target.  Every row must hold
+/// query.size() doubles (throws util::ConfigError otherwise); `out`
+/// must hold rows.size() doubles.
+void squaredDistancesRows(std::span<const std::span<const double>> rows,
+                          std::span<const double> query, double* out);
+
+/// The scalar reference of squaredDistancesRows.
+void squaredDistancesRowsScalar(
+    std::span<const std::span<const double>> rows,
+    std::span<const double> query, double* out);
+
 /// One top-k candidate: a squared distance and the row it came from.
 struct TopKEntry {
   double squaredDistance = 0.0;

@@ -23,6 +23,7 @@
 #include <immintrin.h>
 
 #include <cstddef>
+#include <span>
 
 namespace moloc::kernel::detail {
 
@@ -66,6 +67,81 @@ void squaredDistancesAvx2(const double* data, std::size_t paddedRows,
       acc = _mm256_add_pd(acc, _mm256_mul_pd(d, d));
     }
     _mm256_storeu_pd(out + b * 4, acc);
+  }
+}
+
+namespace {
+
+/// Squared distances of G groups of four rows, one lane per row.  Each
+/// step of four columns loads the rows' 128-bit column pairs into the
+/// halves of two vectors and unpacks them — a 4x4 transpose that costs
+/// one shuffle per column vector — so column c of the group's four
+/// rows lands in one vector and every lane runs exactly the scalar
+/// loop's sub -> mul -> add sequence, column by column.  G independent
+/// accumulator chains hide the vaddpd latency, as in the blocked
+/// kernel above.
+template <std::size_t G>
+void rowGroups(const double* const* p, std::size_t cols,
+               const double* query, __m256d* acc) {
+  for (std::size_t g = 0; g < G; ++g) acc[g] = _mm256_setzero_pd();
+  std::size_t c = 0;
+  for (; c + 4 <= cols; c += 4) {
+    const __m256d q0 = _mm256_set1_pd(query[c]);
+    const __m256d q1 = _mm256_set1_pd(query[c + 1]);
+    const __m256d q2 = _mm256_set1_pd(query[c + 2]);
+    const __m256d q3 = _mm256_set1_pd(query[c + 3]);
+    for (std::size_t g = 0; g < G; ++g) {
+      const double* const* r = p + 4 * g;
+      // (r0[c], r0[c+1], r2[c], r2[c+1]) and the same for rows 1, 3.
+      const __m256d lo02 = _mm256_loadu2_m128d(r[2] + c, r[0] + c);
+      const __m256d lo13 = _mm256_loadu2_m128d(r[3] + c, r[1] + c);
+      const __m256d hi02 = _mm256_loadu2_m128d(r[2] + c + 2, r[0] + c + 2);
+      const __m256d hi13 = _mm256_loadu2_m128d(r[3] + c + 2, r[1] + c + 2);
+      const __m256d d0 = _mm256_sub_pd(q0, _mm256_unpacklo_pd(lo02, lo13));
+      acc[g] = _mm256_add_pd(acc[g], _mm256_mul_pd(d0, d0));
+      const __m256d d1 = _mm256_sub_pd(q1, _mm256_unpackhi_pd(lo02, lo13));
+      acc[g] = _mm256_add_pd(acc[g], _mm256_mul_pd(d1, d1));
+      const __m256d d2 = _mm256_sub_pd(q2, _mm256_unpacklo_pd(hi02, hi13));
+      acc[g] = _mm256_add_pd(acc[g], _mm256_mul_pd(d2, d2));
+      const __m256d d3 = _mm256_sub_pd(q3, _mm256_unpackhi_pd(hi02, hi13));
+      acc[g] = _mm256_add_pd(acc[g], _mm256_mul_pd(d3, d3));
+    }
+  }
+  for (; c < cols; ++c) {
+    const __m256d q = _mm256_set1_pd(query[c]);
+    for (std::size_t g = 0; g < G; ++g) {
+      const double* const* r = p + 4 * g;
+      const __m256d d = _mm256_sub_pd(
+          q, _mm256_set_pd(r[3][c], r[2][c], r[1][c], r[0][c]));
+      acc[g] = _mm256_add_pd(acc[g], _mm256_mul_pd(d, d));
+    }
+  }
+}
+
+}  // namespace
+
+void squaredDistancesRowsAvx2(const std::span<const double>* rows,
+                              std::size_t count, std::size_t cols,
+                              const double* query, double* out) {
+  // Two groups (eight rows) per pass; the last partial group repeats
+  // its first row in the missing lanes and stores only the real ones.
+  const double* p[8] = {};
+  __m256d acc[2] = {};
+  std::size_t i = 0;
+  for (; i + 8 <= count; i += 8) {
+    for (std::size_t j = 0; j < 8; ++j) p[j] = rows[i + j].data();
+    rowGroups<2>(p, cols, query, acc);
+    _mm256_storeu_pd(out + i, acc[0]);
+    _mm256_storeu_pd(out + i + 4, acc[1]);
+  }
+  for (; i < count; i += 4) {
+    const std::size_t lanes = count - i < 4 ? count - i : 4;
+    for (std::size_t j = 0; j < 4; ++j)
+      p[j] = rows[i + (j < lanes ? j : 0)].data();
+    rowGroups<1>(p, cols, query, acc);
+    alignas(32) double lane[4];
+    _mm256_store_pd(lane, acc[0]);
+    for (std::size_t j = 0; j < lanes; ++j) out[i + j] = lane[j];
   }
 }
 

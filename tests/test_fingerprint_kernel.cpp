@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -265,6 +266,65 @@ TEST(FingerprintKernelTest, BlockStraddlingSizesMatchPlainLoopBitwise) {
           << "rows=" << rows << " r=" << r;
     }
   }
+}
+
+// The shortlist re-rank reads rows where they live.  Every shape of a
+// partial 4-row group and a partial 4-column group must give, per row,
+// bitwise the blocked kernel's result over the same rows copied into a
+// FlatMatrix — through dispatch, the row kernel's scalar reference and
+// the forced-scalar path alike.
+TEST(FingerprintKernelTest, RowsKernelMatchesBlockedKernelBitwise) {
+  util::Rng rng(53);
+  for (const std::size_t cols :
+       {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 24u, 192u}) {
+    for (std::size_t rows = 1; rows <= 9; ++rows) {
+      // Separately allocated rows, as in the radio map.
+      std::vector<std::vector<double>> raw;
+      FlatMatrix m;
+      m.reset(cols);
+      for (std::size_t r = 0; r < rows; ++r) {
+        raw.push_back(randomRow(rng, cols));
+        m.appendRow(raw.back());
+      }
+      std::vector<std::span<const double>> spans(raw.begin(), raw.end());
+      const std::vector<double> query = randomRow(rng, cols);
+
+      std::vector<double> blocked(m.paddedRows());
+      squaredDistancesScalar(m, query.data(), blocked.data());
+      std::vector<double> viaDispatch(rows);
+      std::vector<double> viaScalarRef(rows);
+      std::vector<double> viaForcedScalar(rows);
+      squaredDistancesRows(spans, query, viaDispatch.data());
+      squaredDistancesRowsScalar(spans, query, viaScalarRef.data());
+      setForceScalar(true);
+      squaredDistancesRows(spans, query, viaForcedScalar.data());
+      setForceScalar(false);
+      for (std::size_t r = 0; r < rows; ++r) {
+        EXPECT_EQ(std::memcmp(&viaDispatch[r], &blocked[r], sizeof(double)),
+                  0)
+            << "cols=" << cols << " rows=" << rows << " r=" << r;
+        EXPECT_EQ(
+            std::memcmp(&viaScalarRef[r], &blocked[r], sizeof(double)), 0)
+            << "cols=" << cols << " rows=" << rows << " r=" << r;
+        EXPECT_EQ(
+            std::memcmp(&viaForcedScalar[r], &blocked[r], sizeof(double)),
+            0)
+            << "cols=" << cols << " rows=" << rows << " r=" << r;
+      }
+    }
+  }
+}
+
+TEST(FingerprintKernelTest, RowsKernelRejectsRowLengthMismatch) {
+  const std::vector<double> query{1.0, 2.0, 3.0};
+  const std::vector<double> good{1.0, 2.0, 3.0};
+  const std::vector<double> shortRow{1.0, 2.0};
+  const std::vector<std::span<const double>> rows{good, shortRow};
+  std::vector<double> out(rows.size());
+  EXPECT_THROW(squaredDistancesRows(rows, query, out.data()),
+               std::invalid_argument);
+  EXPECT_THROW(squaredDistancesRowsScalar(rows, query, out.data()),
+               std::invalid_argument);
 }
 
 // The 64k-location venue pushes FlatMatrix well past every prior use;

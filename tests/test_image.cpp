@@ -198,6 +198,45 @@ TEST(VenueImage, RoundTripPreservesEveryStructureBitwise) {
   }
 }
 
+// The loaded index derives its shard mass ranges from the mapped slabs
+// (the image does not store them).  They must equal the built index's:
+// every query scans the same shards and entries and admits the same
+// shortlist, with bitwise-equal answers.
+TEST(VenueImage, LoadedIndexScansExactlyLikeTheBuiltIndex) {
+  const std::string dir = freshDir("indexstats");
+  const std::string path = dir + "/venue.img";
+  const auto world = makeWorld(1600, 24, 19, /*withIndex=*/true);
+  writeVenueImage(path, *world);
+  const VenueImage image = VenueImage::open(path);
+  ASSERT_TRUE(image.hasIndex());
+  const index::TieredIndex& built = *world->tieredIndex();
+  const index::TieredIndex& loaded = *image.tieredIndex();
+  ASSERT_EQ(loaded.shardCount(), built.shardCount());
+
+  util::Rng rng(29);
+  std::size_t scannedShards = 0;
+  std::size_t queries = 0;
+  std::vector<radio::Match> viaBuilt;
+  std::vector<radio::Match> viaImage;
+  for (int trial = 0; trial < 40; ++trial) {
+    const radio::Fingerprint query = makeQuery(24, rng);
+    for (const std::size_t k : {1u, 8u}) {
+      index::QueryStats a;
+      index::QueryStats b;
+      built.queryInto(query, k, viaBuilt, &a);
+      loaded.queryInto(query, k, viaImage, &b);
+      EXPECT_EQ(b.scannedShards, a.scannedShards) << "trial " << trial;
+      EXPECT_EQ(b.scannedEntries, a.scannedEntries) << "trial " << trial;
+      EXPECT_EQ(b.shortlistSize, a.shortlistSize) << "trial " << trial;
+      expectMatchesBitwiseEqual(viaBuilt, viaImage);
+      scannedShards += a.scannedShards;
+      ++queries;
+    }
+  }
+  // Some shards were pruned, so the bound was exercised.
+  EXPECT_LT(scannedShards, queries * built.shardCount());
+}
+
 TEST(VenueImage, MmapAndReadFallbackAreBitwiseIdentical) {
   const std::string dir = freshDir("fallback");
   const std::string path = dir + "/venue.img";

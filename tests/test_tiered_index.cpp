@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -13,6 +15,8 @@
 #include "core/world_snapshot.hpp"
 #include "radio/fingerprint_database.hpp"
 #include "util/rng.hpp"
+#include "worldgen/generated_venue.hpp"
+#include "worldgen/venue_spec.hpp"
 
 namespace moloc::index {
 namespace {
@@ -134,6 +138,108 @@ TEST(TieredIndexTest, PrefilterPrunesShardsOnDisjointVisibility) {
   std::vector<radio::Match> exact;
   db->queryInto(query, 8, exact);
   expectBitwiseEqual(exact, tiered);
+}
+
+// The same two floors at the default shortlist: the admission
+// threshold now sits far above the nearest entries, so the per-AP
+// bucket ranges of the other floor (each starting near bucket 1) no
+// longer prune it.  Its entries' bucket mass does: every floor-B entry
+// hears all four of its APs, so its distance is at least its mass.
+TEST(TieredIndexTest, MassBoundPrunesDisjointFloorAtDefaultShortlist) {
+  auto db = std::make_shared<radio::FingerprintDatabase>();
+  util::Rng rng(3);
+  const std::size_t perFloor = 600;
+  for (std::size_t loc = 0; loc < 2 * perFloor; ++loc) {
+    std::vector<double> rss(8, kFloorDbm);
+    const std::size_t base = loc < perFloor ? 0 : 4;
+    for (std::size_t i = 0; i < 4; ++i)
+      rss[base + i] = rng.uniform(-85.0, -45.0);
+    db->addLocation(static_cast<env::LocationId>(loc),
+                    radio::Fingerprint(std::move(rss)));
+  }
+  IndexConfig config;
+  config.exhaustiveCheck = true;
+  ASSERT_EQ(config.minShortlist, 96u);
+  const std::vector<std::size_t> shardStarts{0, perFloor};
+  const TieredIndex index(db, config, shardStarts);
+  ASSERT_EQ(index.shardCount(), 2u);
+
+  std::vector<double> rss(8, kFloorDbm);
+  rss[0] = -60.0;
+  rss[1] = -70.0;
+  const radio::Fingerprint query{std::move(rss)};
+  std::vector<radio::Match> tiered;
+  QueryStats stats;
+  index.queryInto(query, 8, tiered, &stats);
+  EXPECT_EQ(stats.scannedShards, 1u);
+  EXPECT_EQ(stats.scannedEntries, perFloor);
+
+  std::vector<radio::Match> exact;
+  db->queryInto(query, 8, exact);
+  expectBitwiseEqual(exact, tiered);
+}
+
+/// Sum over APs of |bucket(query) - bucket(row)|, from the raw RSS.
+std::uint32_t bruteForceBucketDistance(const radio::Fingerprint& query,
+                                       std::span<const double> row,
+                                       const QuantizerConfig& quantizer) {
+  std::uint32_t distance = 0;
+  for (std::size_t c = 0; c < row.size(); ++c) {
+    const int q = quantizeRss(query[c], quantizer);
+    const int e = quantizeRss(row[c], quantizer);
+    distance += static_cast<std::uint32_t>(q > e ? q - e : e - q);
+  }
+  return distance;
+}
+
+// Black-box oracle for pruning: however many shards a query skips, the
+// shortlist is every row whose bucket distance is within marginBuckets
+// of the max(k, minShortlist)-th smallest over the whole map.
+TEST(TieredIndexTest, ShortlistIsTheBruteForceAdmissionSetOnCampusVenues) {
+  for (const char* preset : {"campus-1k", "campus-4k"}) {
+    const worldgen::GeneratedVenue venue(worldgen::parseVenueSpec(preset));
+    const auto db = venue.sharedFingerprints();
+    const IndexConfig config;
+    const TieredIndex index(db, config, venue.shardStarts());
+    ASSERT_GT(index.shardCount(), 1u) << preset;
+
+    util::Rng rng(17);
+    std::size_t scannedEntries = 0;
+    std::size_t queries = 0;
+    std::vector<std::uint32_t> distances(db->size());
+    std::vector<radio::Match> tiered;
+    std::vector<radio::Match> exact;
+    for (int trial = 0; trial < 30; ++trial) {
+      const auto loc = static_cast<env::LocationId>(
+          rng.uniformIndex(venue.locationCount()));
+      const radio::Fingerprint query = venue.scanAt(loc, 0.0, rng);
+      for (std::size_t r = 0; r < db->size(); ++r)
+        distances[r] = bruteForceBucketDistance(
+            query, db->entryAt(r).values(), config.quantizer);
+      std::vector<std::uint32_t> sorted = distances;
+      std::sort(sorted.begin(), sorted.end());
+      for (const std::size_t k : {1u, 8u}) {
+        const std::size_t wanted = std::max(k, config.minShortlist);
+        const std::uint32_t admit =
+            sorted[std::min(wanted, sorted.size()) - 1] +
+            config.marginBuckets;
+        const auto expected = static_cast<std::size_t>(std::count_if(
+            distances.begin(), distances.end(),
+            [admit](std::uint32_t d) { return d <= admit; }));
+
+        QueryStats stats;
+        index.queryInto(query, k, tiered, &stats);
+        EXPECT_EQ(stats.shortlistSize, expected)
+            << preset << " trial " << trial << " k " << k;
+        db->queryInto(query, k, exact);
+        expectBitwiseEqual(exact, tiered);
+        scannedEntries += stats.scannedEntries;
+        ++queries;
+      }
+    }
+    // The oracle holds while the prefilter skips shards.
+    EXPECT_LT(scannedEntries, queries * index.entryCount()) << preset;
+  }
 }
 
 // Satellite: an unheard AP must behave identically through the exact
