@@ -43,11 +43,12 @@ using namespace moloc;
 constexpr std::size_t kSessions = 64;
 constexpr std::size_t kImuSamples = 150;  // 3 s at 50 Hz.
 
-/// Rounds per session; MOLOC_BENCH_ROUNDS overrides the default for
-/// longer (less scheduler-noise-prone) measurements, e.g. when
-/// comparing MOLOC_METRICS=ON vs OFF builds.
+/// Rounds per session.  The default gives each thread count of the
+/// sweep 32,000 queries, about 0.2-0.6 s of work on a 4-vCPU Release
+/// build, so start-up noise does not dominate a row; MOLOC_BENCH_ROUNDS
+/// overrides it (CI's smoke sweep uses 5).
 std::size_t roundsPerSession() {
-  static const std::size_t rounds = moloc::bench::envRounds(20);
+  static const std::size_t rounds = moloc::bench::envRounds(500);
   return rounds;
 }
 

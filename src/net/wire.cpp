@@ -43,6 +43,14 @@ void checkCount(const Cursor& cursor, std::uint32_t count,
                             " exceeds payload capacity");
 }
 
+/// An empty payload with room for exactly `bytes`: each encoder sums
+/// its message's encoded size first, so the put* calls never regrow it.
+std::string payloadOf(std::size_t bytes) {
+  std::string payload;
+  payload.reserve(bytes);
+  return payload;
+}
+
 void putString(std::string& out, std::string_view s) {
   putU32(out, util::checkedU32(s.size(), "string length"));
   out.append(s.data(), s.size());
@@ -54,6 +62,10 @@ std::string readString(Cursor& cursor) {
   std::string s(n, '\0');
   if (n > 0) cursor.readBytes(s.data(), n);
   return s;
+}
+
+std::size_t scanBytes(const WireScan& s) {
+  return 8 + 4 + 8 * s.scan.values().size() + 8 + 4 + 32 * s.imu.size();
 }
 
 void putScan(std::string& out, const WireScan& s) {
@@ -85,6 +97,7 @@ WireScan readScan(Cursor& cursor) {
   s.imu = sensors::ImuTrace(rateHz);
   const std::uint32_t sampleCount = cursor.readU32();
   checkCount(cursor, sampleCount, 32);
+  s.imu.reserve(sampleCount);
   for (std::uint32_t i = 0; i < sampleCount; ++i) {
     sensors::ImuSample sample;
     sample.t = cursor.readF64();
@@ -94,6 +107,10 @@ WireScan readScan(Cursor& cursor) {
     s.imu.append(sample);
   }
   return s;
+}
+
+std::size_t estimateBytes(const core::LocationEstimate& e) {
+  return 4 + 8 + 4 + 12 * e.candidates.size();
 }
 
 void putEstimate(std::string& out, const core::LocationEstimate& e) {
@@ -128,6 +145,13 @@ Status readStatus(Cursor& cursor) {
     throw ProtocolError(WireFault::kMalformedPayload,
                         "unknown status byte " + std::to_string(raw));
   return static_cast<Status>(raw);
+}
+
+/// A response's encoded size: the head, then the kOk body (`okBody`
+/// bytes) or the error message.
+std::size_t responseBytes(Status status, std::string_view message,
+                          std::size_t okBody) {
+  return 8 + 1 + (status == Status::kOk ? okBody : 4 + message.size());
 }
 
 /// Shared response prologue: echoed tag + status, then the error
@@ -251,7 +275,7 @@ bool FrameAssembler::next(Frame& out) {
 // ---- Requests ---------------------------------------------------------
 
 std::string encodeLocalizeRequest(const LocalizeRequest& msg) {
-  std::string payload;
+  std::string payload = payloadOf(8 + scanBytes(msg.scan));
   putU64(payload, msg.tag);
   putScan(payload, msg.scan);
   return encodeFrame(MsgType::kLocalize, payload);
@@ -269,7 +293,9 @@ LocalizeRequest decodeLocalizeRequest(std::string_view payload) {
 }
 
 std::string encodeLocalizeBatchRequest(const LocalizeBatchRequest& msg) {
-  std::string payload;
+  std::size_t bytes = 8 + 4;
+  for (const auto& scan : msg.scans) bytes += scanBytes(scan);
+  std::string payload = payloadOf(bytes);
   putU64(payload, msg.tag);
   putU32(payload, util::checkedU32(msg.scans.size(), "batch scan count"));
   for (const auto& scan : msg.scans) putScan(payload, scan);
@@ -293,7 +319,7 @@ LocalizeBatchRequest decodeLocalizeBatchRequest(std::string_view payload) {
 
 std::string encodeReportObservationRequest(
     const ReportObservationRequest& msg) {
-  std::string payload;
+  std::string payload = payloadOf(8 + 4 + 4 + 8 + 8);
   putU64(payload, msg.tag);
   putI32(payload, msg.start);
   putI32(payload, msg.end);
@@ -318,7 +344,7 @@ ReportObservationRequest decodeReportObservationRequest(
 }
 
 std::string encodeFlushRequest(const FlushRequest& msg) {
-  std::string payload;
+  std::string payload = payloadOf(8);
   putU64(payload, msg.tag);
   return encodeFrame(MsgType::kFlush, payload);
 }
@@ -334,7 +360,7 @@ FlushRequest decodeFlushRequest(std::string_view payload) {
 }
 
 std::string encodeStatsRequest(const StatsRequest& msg) {
-  std::string payload;
+  std::string payload = payloadOf(8);
   putU64(payload, msg.tag);
   return encodeFrame(MsgType::kStats, payload);
 }
@@ -352,7 +378,8 @@ StatsRequest decodeStatsRequest(std::string_view payload) {
 // ---- Responses --------------------------------------------------------
 
 std::string encodeLocalizeResponse(const LocalizeResponse& msg) {
-  std::string payload;
+  std::string payload = payloadOf(
+      responseBytes(msg.status, msg.message, estimateBytes(msg.estimate)));
   if (putResponseHead(payload, msg.tag, msg.status, msg.message))
     putEstimate(payload, msg.estimate);
   return encodeFrame(MsgType::kLocalizeResponse, payload);
@@ -374,7 +401,10 @@ LocalizeResponse decodeLocalizeResponse(std::string_view payload) {
 }
 
 std::string encodeLocalizeBatchResponse(const LocalizeBatchResponse& msg) {
-  std::string payload;
+  std::size_t body = 4;
+  for (const auto& e : msg.estimates) body += estimateBytes(e);
+  std::string payload =
+      payloadOf(responseBytes(msg.status, msg.message, body));
   if (putResponseHead(payload, msg.tag, msg.status, msg.message)) {
     putU32(payload,
            util::checkedU32(msg.estimates.size(), "batch estimate count"));
@@ -405,7 +435,7 @@ LocalizeBatchResponse decodeLocalizeBatchResponse(std::string_view payload) {
 
 std::string encodeReportObservationResponse(
     const ReportObservationResponse& msg) {
-  std::string payload;
+  std::string payload = payloadOf(responseBytes(msg.status, msg.message, 1));
   if (putResponseHead(payload, msg.tag, msg.status, msg.message))
     putU8(payload, msg.accepted ? 1 : 0);
   return encodeFrame(MsgType::kReportObservationResponse, payload);
@@ -428,7 +458,7 @@ ReportObservationResponse decodeReportObservationResponse(
 }
 
 std::string encodeFlushResponse(const FlushResponse& msg) {
-  std::string payload;
+  std::string payload = payloadOf(responseBytes(msg.status, msg.message, 0));
   putResponseHead(payload, msg.tag, msg.status, msg.message);
   return encodeFrame(MsgType::kFlushResponse, payload);
 }
@@ -446,7 +476,8 @@ FlushResponse decodeFlushResponse(std::string_view payload) {
 }
 
 std::string encodeStatsResponse(const StatsResponse& msg) {
-  std::string payload;
+  std::string payload =
+      payloadOf(responseBytes(msg.status, msg.message, 8 * 8));
   if (putResponseHead(payload, msg.tag, msg.status, msg.message)) {
     putU64(payload, msg.stats.sessions);
     putU64(payload, msg.stats.worldGeneration);

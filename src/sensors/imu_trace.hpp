@@ -27,6 +27,7 @@ class ImuTrace {
   double duration() const;
 
   void append(ImuSample sample) { samples_.push_back(sample); }
+  void reserve(std::size_t samples) { samples_.reserve(samples); }
 
   std::span<const ImuSample> samples() const { return samples_; }
   const ImuSample& operator[](std::size_t i) const { return samples_[i]; }

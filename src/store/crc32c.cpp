@@ -11,8 +11,7 @@ constexpr std::uint32_t kPoly = 0x82f63b78u;  // 0x1EDC6F41 reflected.
 /// Slice-by-8 lookup tables: table[0] is the classic byte-at-a-time
 /// table, table[k] advances a byte seen k positions earlier, so the
 /// inner loop folds 8 input bytes per iteration (~8x the throughput
-/// of byte-at-a-time — WAL framing should never be the intake
-/// bottleneck, even with fsync=none).
+/// of byte-at-a-time).
 struct Tables {
   std::uint32_t t[8][256];
 };
@@ -37,10 +36,26 @@ const Tables& tables() {
   return instance;
 }
 
+#if MOLOC_SIMD_ENABLED && defined(__x86_64__)
+bool cpuHasSse42() {
+  static const bool supported = __builtin_cpu_supports("sse4.2");
+  return supported;
+}
+#endif
+
 }  // namespace
 
-std::uint32_t crc32c(std::uint32_t crc, const void* data,
-                     std::size_t length) {
+#if MOLOC_SIMD_ENABLED && defined(__x86_64__)
+namespace detail {
+// Defined in crc32c_sse42.cpp, the one translation unit compiled with
+// -msse4.2; called only once cpuHasSse42() said yes.
+std::uint32_t crc32cSse42(std::uint32_t crc, const void* data,
+                          std::size_t length);
+}  // namespace detail
+#endif
+
+std::uint32_t crc32cScalar(std::uint32_t crc, const void* data,
+                           std::size_t length) {
   const auto* p = static_cast<const unsigned char*>(data);
   const Tables& tb = tables();
   crc = ~crc;
@@ -57,6 +72,14 @@ std::uint32_t crc32c(std::uint32_t crc, const void* data,
   }
   while (length-- > 0) crc = (crc >> 8) ^ tb.t[0][(crc ^ *p++) & 0xff];
   return ~crc;
+}
+
+std::uint32_t crc32c(std::uint32_t crc, const void* data,
+                     std::size_t length) {
+#if MOLOC_SIMD_ENABLED && defined(__x86_64__)
+  if (cpuHasSse42()) return detail::crc32cSse42(crc, data, length);
+#endif
+  return crc32cScalar(crc, data, length);
 }
 
 std::uint32_t crc32c(const void* data, std::size_t length) {

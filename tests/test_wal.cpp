@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -59,6 +60,57 @@ TEST(Crc32c, KnownVectors) {
   // 32 zero bytes, second reference vector from RFC 3720.
   const std::string zeros(32, '\0');
   EXPECT_EQ(crc32c(zeros.data(), zeros.size()), 0x8A9136AAu);
+  EXPECT_EQ(crc32cScalar(0, "123456789", 9), 0xE3069283u);
+  EXPECT_EQ(crc32cScalar(0, zeros.data(), zeros.size()), 0x8A9136AAu);
+}
+
+// The dispatched CRC (the SSE4.2 three-stream path on CPUs that have it
+// in MOLOC_SIMD builds) must be the same integer function as the
+// slice-by-8 reference: every start alignment, every length around the
+// stream-block edges (3 x 256 and 3 x 8192 bytes), nonzero running
+// seeds, and chained pieces as the image writer feeds them.
+TEST(Crc32c, DispatchMatchesSoftwareReference) {
+  std::mt19937_64 rng(0x5eed'c3c3'2c2cULL);
+  constexpr std::size_t kMaxLength = 64 * 1024;
+  std::vector<unsigned char> buffer(kMaxLength + 16);
+  for (auto& byte : buffer) byte = static_cast<unsigned char>(rng());
+  // An 8-byte-aligned base, so offset k really starts k bytes past an
+  // 8-byte boundary.
+  const std::size_t misalign =
+      reinterpret_cast<std::uintptr_t>(buffer.data()) % 8;
+  const unsigned char* const base = buffer.data() + (8 - misalign) % 8;
+
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 64; ++n) lengths.push_back(n);
+  for (const std::size_t block : {3 * 256, 3 * 8192})
+    for (const std::size_t n : {block - 1, block, block + 1})
+      lengths.push_back(n);
+  std::uniform_int_distribution<std::size_t> anyLength(0, kMaxLength);
+  for (int i = 0; i < 48; ++i) lengths.push_back(anyLength(rng));
+
+  auto nonzeroSeed = [&rng] {
+    std::uint32_t seed = 0;
+    while (seed == 0) seed = static_cast<std::uint32_t>(rng());
+    return seed;
+  };
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (const std::size_t length : lengths) {
+      const unsigned char* const p = base + offset;
+      EXPECT_EQ(crc32c(p, length), crc32cScalar(0, p, length))
+          << "offset " << offset << " length " << length;
+      const std::uint32_t seed = nonzeroSeed();
+      const std::uint32_t expected = crc32cScalar(seed, p, length);
+      ASSERT_EQ(crc32c(seed, p, length), expected)
+          << "offset " << offset << " length " << length << " seed "
+          << seed;
+      const std::size_t split =
+          std::uniform_int_distribution<std::size_t>(0, length)(rng);
+      EXPECT_EQ(crc32c(crc32c(seed, p, split), p + split, length - split),
+                expected)
+          << "offset " << offset << " length " << length << " split "
+          << split;
+    }
+  }
 }
 
 TEST(Crc32c, IncrementalChainingMatchesOneShot) {
