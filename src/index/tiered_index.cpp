@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <cmath>
 #include <future>
 #include <limits>
@@ -11,6 +10,7 @@
 #include <thread>
 #include <utility>
 
+#include "kernel/fingerprint_kernel.hpp"
 #include "service/thread_pool.hpp"
 #include "util/error.hpp"
 
@@ -30,30 +30,11 @@ bool allFinite(const radio::Fingerprint& fp) {
   return true;
 }
 
-/// Transposes the 8x8 bit matrix held in `x` (row i = byte i, column
-/// j = bit j of that byte) with three masked delta-swaps.
-std::uint64_t transposeBits8x8(std::uint64_t x) {
-  std::uint64_t t = (x ^ (x >> 7)) & 0x00AA00AA00AA00AAull;
-  x ^= t ^ (t << 7);
-  t = (x ^ (x >> 14)) & 0x0000CCCC0000CCCCull;
-  x ^= t ^ (t << 14);
-  t = (x ^ (x >> 28)) & 0x00000000F0F0F0F0ull;
-  x ^= t ^ (t << 28);
-  return x;
-}
-
-/// Byte `g` of counters[0..7], as the rows of an 8x8 bit matrix.
-std::uint64_t counterBytes(const std::uint64_t* counters, std::size_t g) {
-  std::uint64_t x = 0;
-  for (std::size_t d = 0; d < 8; ++d)
-    x |= ((counters[d] >> (8 * g)) & 0xFFu) << (8 * d);
-  return x;
-}
-
 }  // namespace
 
 struct TieredIndex::ScanWorkspace {
   std::vector<std::uint8_t> qBuckets;
+  std::vector<std::uint8_t> shardQ;  ///< qBuckets at one shard's activeAps.
   std::vector<std::uint32_t> shardLb;
   std::vector<std::uint32_t> shardOffset;
   std::vector<std::uint32_t> order;
@@ -219,15 +200,9 @@ TieredIndex::Shard TieredIndex::buildShard(std::size_t rowBegin,
 }
 
 void TieredIndex::finishShard(Shard& shard) const {
-  const std::size_t maxDistance =
-      shard.activeAps.size() *
-      static_cast<std::size_t>(config_.quantizer.bucketCount - 1);
-  shard.counterDepth =
-      maxDistance == 0 ? 0 : static_cast<int>(std::bit_width(maxDistance));
-
   // Scanned against an all-zero query, the slab yields every entry's
   // bucket mass over the shard's active APs.
-  const std::vector<std::uint8_t> zeroQuery(db_->apCount(), 0);
+  const std::vector<std::uint8_t> zeroQuery(shard.activeAps.size(), 0);
   std::vector<std::uint32_t> mass(shard.rowEnd - shard.rowBegin);
   scanShard(shard, zeroQuery.data(), mass.data());
   const auto [lo, hi] = std::minmax_element(mass.begin(), mass.end());
@@ -328,53 +303,12 @@ ShardView TieredIndex::shardView(std::size_t shard) const {
 }
 
 void TieredIndex::scanShard(const Shard& shard,
-                            const std::uint8_t* qBuckets,
+                            const std::uint8_t* shardQ,
                             std::uint32_t* distances) const {
-  const std::size_t planeCount =
-      static_cast<std::size_t>(config_.quantizer.bucketCount - 1);
-  const std::size_t count = shard.rowEnd - shard.rowBegin;
-  const int depth = shard.counterDepth;
-
-  for (std::size_t w = 0; w < shard.words; ++w) {
-    // Vertical carry-save counters: counters[d] holds bit d of the
-    // per-entry bucket-space distance for all 64 entries of the block.
-    std::uint64_t counters[16] = {};
-    for (std::size_t a = 0; a < shard.activeAps.size(); ++a) {
-      const std::uint8_t q = qBuckets[shard.activeAps[a]];
-      const std::uint64_t* planes =
-          shard.slab.data() + a * planeCount * shard.words + w;
-      for (std::size_t t = 0; t < planeCount; ++t) {
-        // XOR of the entry's thermometer bit with the query's: the
-        // popcount across planes is exactly |q - entryBucket|.
-        std::uint64_t carry =
-            planes[t * shard.words] ^
-            (t < q ? ~std::uint64_t{0} : std::uint64_t{0});
-        for (int d = 0; carry != 0 && d < depth; ++d) {
-          const std::uint64_t sum = counters[d] ^ carry;
-          carry &= counters[d];
-          counters[d] = sum;
-        }
-      }
-    }
-
-    // Read the counters out eight entries at a time: byte g of
-    // counters[0..7] transposed holds the low distance byte of entries
-    // 8g..8g+7, and counters[8..15] (zero unless depth > 8) the high
-    // byte.
-    const std::size_t blockCount =
-        std::min(kBlockEntries, count - w * kBlockEntries);
-    std::uint32_t* out = distances + w * kBlockEntries;
-    for (std::size_t g = 0; 8 * g < blockCount; ++g) {
-      const std::uint64_t low = transposeBits8x8(counterBytes(counters, g));
-      const std::uint64_t high =
-          depth > 8 ? transposeBits8x8(counterBytes(counters + 8, g)) : 0;
-      const std::size_t lanes = std::min<std::size_t>(8, blockCount - 8 * g);
-      for (std::size_t e = 0; e < lanes; ++e)
-        out[8 * g + e] =
-            static_cast<std::uint32_t>((low >> (8 * e)) & 0xFFu) |
-            static_cast<std::uint32_t>((high >> (8 * e)) & 0xFFu) << 8;
-    }
-  }
+  kernel::bucketDistances({shard.slab, shard.activeAps.size(),
+                           config_.quantizer.bucketCount - 1,
+                           shard.rowEnd - shard.rowBegin},
+                          shardQ, distances);
 }
 
 void TieredIndex::queryInto(const radio::Fingerprint& query,
@@ -442,7 +376,13 @@ void TieredIndex::queryInto(const radio::Fingerprint& query,
   // threshold by construction, so the shortlist below is complete.
   const std::size_t wanted = std::max(k, config_.minShortlist);
   ws.rowDistance.resize(n);
-  ws.histogram.assign(kHistogramCap, 0);
+  // No distance exceeds apCount * (B - 1), so only that many bins (plus
+  // bin 0) can fill; past the cap the last bin takes the overflow.
+  const auto bins = static_cast<std::uint32_t>(std::min<std::size_t>(
+      kHistogramCap,
+      apCount * static_cast<std::size_t>(config_.quantizer.bucketCount - 1) +
+          1));
+  ws.histogram.assign(bins, 0);
   ws.scannedShards.clear();
   std::size_t scanned = 0;
   std::uint32_t threshold = 0;
@@ -452,17 +392,20 @@ void TieredIndex::queryInto(const radio::Fingerprint& query,
         ws.shardLb[s] > threshold + config_.marginBuckets)
       break;
     const Shard& shard = shards_[s];
+    ws.shardQ.resize(shard.activeAps.size());
+    for (std::size_t a = 0; a < shard.activeAps.size(); ++a)
+      ws.shardQ[a] = ws.qBuckets[shard.activeAps[a]];
     std::uint32_t* distances = ws.rowDistance.data() + shard.rowBegin;
-    scanShard(shard, ws.qBuckets.data(), distances);
+    scanShard(shard, ws.shardQ.data(), distances);
     for (std::size_t e = 0; e < shard.rowEnd - shard.rowBegin; ++e) {
       distances[e] += ws.shardOffset[s];
-      ++ws.histogram[std::min(distances[e], kHistogramCap - 1)];
+      ++ws.histogram[std::min(distances[e], bins - 1)];
     }
     ws.scannedShards.push_back(s);
     scanned += shard.rowEnd - shard.rowBegin;
     if (scanned >= wanted) {
       std::size_t cumulative = 0;
-      for (std::uint32_t bin = 0; bin < kHistogramCap; ++bin) {
+      for (std::uint32_t bin = 0; bin < bins; ++bin) {
         cumulative += ws.histogram[bin];
         if (cumulative >= wanted) {
           threshold = bin;

@@ -198,8 +198,6 @@ class TieredIndex {
     /// Thermometer planes, plane-major:
     /// slab[(a * (B-1) + t) * words + w].
     std::span<const std::uint64_t> slab;
-    /// Bits per vertical scan counter: bit_width(activeAps * (B-1)).
-    int counterDepth = 0;
     /// Range of the entries' bucket mass (sum of entry buckets over
     /// activeAps), for the query-time lower bound.  Derived from the
     /// slab, so a venue image does not store it.
@@ -214,12 +212,12 @@ class TieredIndex {
   TieredIndex() = default;
 
   Shard buildShard(std::size_t rowBegin, std::size_t rowEnd) const;
-  /// Sets the fields derived from a shard's spans: counterDepth and
-  /// the mass range.
+  /// Sets the fields derived from a shard's spans: the mass range.
   void finishShard(Shard& shard) const;
   /// Writes each entry's bucket-space distance over the shard's active
-  /// APs to distances[0 .. rowEnd - rowBegin).
-  void scanShard(const Shard& shard, const std::uint8_t* qBuckets,
+  /// APs to distances[0 .. rowEnd - rowBegin); `shardQ` holds the
+  /// query's bucket at each active AP (kernel::bucketDistances).
+  void scanShard(const Shard& shard, const std::uint8_t* shardQ,
                  std::uint32_t* distances) const;
 
   std::shared_ptr<const radio::FingerprintDatabase> db_;

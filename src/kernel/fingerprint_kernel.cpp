@@ -1,9 +1,13 @@
 #include "kernel/fingerprint_kernel.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <bit>
 #include <stdexcept>
+#include <utility>
 
+#include "kernel/adder_network.hpp"
 #include "util/error.hpp"
 
 namespace moloc::kernel {
@@ -42,6 +46,13 @@ void squaredDistancesRowsAvx2(const std::span<const double>* rows,
                               const double* query, double* out);
 std::size_t findBelowAvx2(const double* values, std::size_t begin,
                           std::size_t end, double threshold);
+/// Scans the slab's whole four-word groups; returns the number of
+/// words done, which the scalar scan finishes.
+std::size_t bucketDistancesAvx2(const std::uint64_t* planes,
+                                std::size_t columns, int planeCount,
+                                std::size_t entries,
+                                const std::uint8_t* qBuckets,
+                                std::uint32_t* out);
 }  // namespace detail
 #endif
 
@@ -181,6 +192,101 @@ void squaredDistancesRows(std::span<const std::span<const double>> rows,
   }
 #endif
   squaredDistancesRowsScalar(rows, query, out);
+}
+
+namespace {
+
+/// Transposes the 8x8 bit matrix held in `x` (row i = byte i, column
+/// j = bit j of that byte) with three masked delta-swaps.
+std::uint64_t transposeBits8x8(std::uint64_t x) {
+  std::uint64_t t = (x ^ (x >> 7)) & 0x00AA00AA00AA00AAull;
+  x ^= t ^ (t << 7);
+  t = (x ^ (x >> 14)) & 0x0000CCCC0000CCCCull;
+  x ^= t ^ (t << 14);
+  t = (x ^ (x >> 28)) & 0x00000000F0F0F0F0ull;
+  x ^= t ^ (t << 28);
+  return x;
+}
+
+/// Byte `g` of counters[0..7], as the rows of an 8x8 bit matrix.
+std::uint64_t counterBytes(const std::uint64_t* counters, std::size_t g) {
+  std::uint64_t x = 0;
+  for (std::size_t d = 0; d < 8; ++d)
+    x |= ((counters[d] >> (8 * g)) & 0xFFu) << (8 * d);
+  return x;
+}
+
+/// Scans words [wordBegin, words) of a P-plane slab, one 64-entry word
+/// per pass, and reads each word's counters out eight entries at a
+/// time: byte g of counters[0..7] transposed holds the low distance
+/// byte of entries 8g..8g+7, and counters[8..15] (zero unless
+/// depth > 8) the high byte.
+template <int P>
+void bucketWordsScalar(const BucketPlanes& slab,
+                       const std::uint8_t* qBuckets, std::size_t wordBegin,
+                       std::uint32_t* out) {
+  const std::size_t words = (slab.entries + 63) / 64;
+  const auto depth = static_cast<int>(std::bit_width(slab.columns * P));
+  for (std::size_t w = wordBegin; w < words; ++w) {
+    std::uint64_t counters[16] = {};
+    for (std::size_t a = 0; a < slab.columns; ++a) {
+      const std::uint64_t* planes = slab.planes.data() + a * P * words + w;
+      const auto& mask = detail::kThermometerMasks[qBuckets[a]];
+      detail::addColumn<P>(
+          [&](int t) { return planes[t * words] ^ mask[t]; }, counters,
+          depth);
+    }
+    const std::size_t lanes = std::min<std::size_t>(64, slab.entries - 64 * w);
+    std::uint32_t* block = out + 64 * w;
+    for (std::size_t g = 0; 8 * g < lanes; ++g) {
+      const std::uint64_t low = transposeBits8x8(counterBytes(counters, g));
+      const std::uint64_t high =
+          depth > 8 ? transposeBits8x8(counterBytes(counters + 8, g)) : 0;
+      for (std::size_t e = 0; e < 8 && 8 * g + e < lanes; ++e)
+        block[8 * g + e] =
+            static_cast<std::uint32_t>((low >> (8 * e)) & 0xFFu) |
+            static_cast<std::uint32_t>((high >> (8 * e)) & 0xFFu) << 8;
+    }
+  }
+}
+
+using BucketWordsFn = void (*)(const BucketPlanes&, const std::uint8_t*,
+                               std::size_t, std::uint32_t*);
+
+template <int... P>
+constexpr std::array<BucketWordsFn, sizeof...(P)> bucketWordsTable(
+    std::integer_sequence<int, P...>) {
+  return {&bucketWordsScalar<P + 1>...};
+}
+
+}  // namespace
+
+void bucketDistances(const BucketPlanes& slab, const std::uint8_t* qBuckets,
+                     std::uint32_t* out) {
+  if (slab.planeCount < 1 || slab.planeCount > 15)
+    throw util::ConfigError("bucketDistances: planeCount outside [1, 15]");
+  const auto planeCount = static_cast<std::size_t>(slab.planeCount);
+  if (slab.columns * planeCount > 0xFFFFu)
+    throw util::ConfigError(
+        "bucketDistances: columns * planeCount exceeds the counter range");
+  const std::size_t words = (slab.entries + 63) / 64;
+  if (slab.planes.size() != slab.columns * planeCount * words)
+    throw util::ConfigError("bucketDistances: planes size mismatch");
+  for (std::size_t a = 0; a < slab.columns; ++a)
+    if (qBuckets[a] > planeCount)
+      throw util::ConfigError(
+          "bucketDistances: query bucket exceeds planeCount");
+
+  std::size_t wordBegin = 0;
+#if MOLOC_SIMD_ENABLED
+  if (useAvx2())
+    wordBegin = detail::bucketDistancesAvx2(
+        slab.planes.data(), slab.columns, slab.planeCount, slab.entries,
+        qBuckets, out);
+#endif
+  static constexpr auto kScans =
+      bucketWordsTable(std::make_integer_sequence<int, 15>{});
+  kScans[planeCount - 1](slab, qBuckets, wordBegin, out);
 }
 
 namespace {

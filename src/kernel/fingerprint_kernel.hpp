@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -87,8 +88,9 @@ class FlatMatrix {
   std::size_t cols_ = 0;
 };
 
-/// Which code path squaredDistances() dispatches to on this machine
-/// and build.
+/// Which code path the dispatched kernels (squaredDistances,
+/// squaredDistancesRows, selectSmallestK's scan, bucketDistances) take
+/// on this machine and build.
 enum class SimdLevel { scalar, avx2 };
 SimdLevel activeSimdLevel();
 const char* simdLevelName(SimdLevel level);
@@ -125,6 +127,32 @@ void squaredDistancesRows(std::span<const std::span<const double>> rows,
 void squaredDistancesRowsScalar(
     std::span<const std::span<const double>> rows,
     std::span<const double> query, double* out);
+
+/// Bit-sliced thermometer-coded bucket values of `entries` entries over
+/// `columns` columns (the tiered index's shard slab): bit e of plane t
+/// of a column is set iff entry e's bucket in that column exceeds t.
+/// Plane-major, planes[(a * planeCount + t) * words + w] holds plane t
+/// of column a for entries 64w .. 64w + 63, words = ceil(entries / 64).
+/// Bits past the last entry are never read out.
+struct BucketPlanes {
+  std::span<const std::uint64_t> planes;
+  std::size_t columns = 0;
+  int planeCount = 0;  ///< bucketCount - 1, in [1, 15].
+  std::size_t entries = 0;
+};
+
+/// out[e] = sum over columns a of |qBuckets[a] - bucket(a, e)| for
+/// every entry e < entries: the tiered index's bucket-space L1
+/// distance.  A branchless adder network sums each column's XORed
+/// planes into per-entry vertical counters, one 64-entry word per pass
+/// on the scalar path and four words per pass on the AVX2 path; both
+/// give the same distances.  `qBuckets` holds one bucket (at most
+/// planeCount) per column.  Throws util::ConfigError when planeCount
+/// is outside [1, 15], columns * planeCount exceeds the 16-bit counter
+/// range, the planes span has the wrong size, or a query bucket
+/// exceeds planeCount.
+void bucketDistances(const BucketPlanes& slab, const std::uint8_t* qBuckets,
+                     std::uint32_t* out);
 
 /// One top-k candidate: a squared distance and the row it came from.
 struct TopKEntry {

@@ -17,13 +17,25 @@
 // accumulator would serialize on vaddpd latency (cols sequential adds
 // back to back), while four independent accumulator chains keep the
 // FP add ports busy.
+//
+// The TU also holds the four-word pass of the tiered index's
+// bucket-distance scan (bucketDistances): the adder network of
+// kernel/adder_network.hpp over __m256i, 256 entries per pass.
 
 #if MOLOC_SIMD_ENABLED
 
 #include <immintrin.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <span>
+#include <utility>
+
+#include "kernel/adder_network.hpp"
 
 namespace moloc::kernel::detail {
 
@@ -168,6 +180,133 @@ std::size_t findBelowAvx2(const double* values, std::size_t begin,
   for (; i < end; ++i)
     if (values[i] < threshold) return i;
   return end;
+}
+
+namespace {
+
+/// transposeBits8x8 of the scalar path, on each 64-bit lane.
+__m256i transposeLanes8x8(__m256i x) {
+  __m256i t = _mm256_and_si256(x ^ _mm256_srli_epi64(x, 7),
+                               _mm256_set1_epi64x(0x00AA00AA00AA00AAll));
+  x ^= t ^ _mm256_slli_epi64(t, 7);
+  t = _mm256_and_si256(x ^ _mm256_srli_epi64(x, 14),
+                       _mm256_set1_epi64x(0x0000CCCC0000CCCCll));
+  x ^= t ^ _mm256_slli_epi64(t, 14);
+  t = _mm256_and_si256(x ^ _mm256_srli_epi64(x, 28),
+                       _mm256_set1_epi64x(0x00000000F0F0F0F0ll));
+  x ^= t ^ _mm256_slli_epi64(t, 28);
+  return x;
+}
+
+/// One distance byte of a four-word group's 256 lanes, from eight of
+/// its vertical counters c[0..7].  Three rounds of unpacks gather byte
+/// i of c[0..7] into one 64-bit lane (the scalar counterBytes, for all
+/// 32 bytes at once); the 8x8 transpose then turns that lane into the
+/// byte of eight consecutive entries.  bytes[k] ends up holding lanes
+/// 16k .. 16k+15 in its low 128 bits and 128+16k .. 128+16k+15 in its
+/// high 128 bits.
+void distanceBytes(const __m256i* c, __m256i* bytes) {
+  __m256i lo[4] = {};
+  __m256i hi[4] = {};
+  for (std::size_t p = 0; p < 4; ++p) {
+    lo[p] = _mm256_unpacklo_epi8(c[2 * p], c[2 * p + 1]);
+    hi[p] = _mm256_unpackhi_epi8(c[2 * p], c[2 * p + 1]);
+  }
+  __m256i quads[2][4] = {};
+  for (std::size_t q = 0; q < 2; ++q) {
+    quads[q][0] = _mm256_unpacklo_epi16(lo[2 * q], lo[2 * q + 1]);
+    quads[q][1] = _mm256_unpackhi_epi16(lo[2 * q], lo[2 * q + 1]);
+    quads[q][2] = _mm256_unpacklo_epi16(hi[2 * q], hi[2 * q + 1]);
+    quads[q][3] = _mm256_unpackhi_epi16(hi[2 * q], hi[2 * q + 1]);
+  }
+  for (std::size_t m = 0; m < 4; ++m) {
+    bytes[2 * m] = transposeLanes8x8(
+        _mm256_unpacklo_epi32(quads[0][m], quads[1][m]));
+    bytes[2 * m + 1] = transposeLanes8x8(
+        _mm256_unpackhi_epi32(quads[0][m], quads[1][m]));
+  }
+}
+
+/// Widens 16 low and 16 high distance bytes to 16 uint32 distances.
+void storeDistances(__m128i low, __m128i high, std::uint32_t* out) {
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(out),
+                      _mm256_cvtepu16_epi32(_mm_unpacklo_epi8(low, high)));
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 8),
+                      _mm256_cvtepu16_epi32(_mm_unpackhi_epi8(low, high)));
+}
+
+/// The scalar bucketWordsScalar, four words per pass: lane 64j + i of
+/// each __m256i counter is bit i of word w + j.
+template <int P>
+std::size_t bucketGroupsAvx2(const std::uint64_t* planes,
+                             std::size_t columns, std::size_t entries,
+                             const std::uint8_t* qBuckets,
+                             std::uint32_t* out) {
+  const std::size_t words = (entries + 63) / 64;
+  const auto depth = static_cast<int>(std::bit_width(columns * P));
+  std::size_t w = 0;
+  for (; w + 4 <= words; w += 4) {
+    __m256i counters[16] = {};
+    for (std::size_t a = 0; a < columns; ++a) {
+      const std::uint64_t* p = planes + a * P * words + w;
+      const auto& mask = kThermometerMasks[qBuckets[a]];
+      addColumn<P>(
+          [&](int t) {
+            return _mm256_loadu_si256(
+                       reinterpret_cast<const __m256i*>(p + t * words)) ^
+                   _mm256_set1_epi64x(static_cast<long long>(mask[t]));
+          },
+          counters, depth);
+    }
+    __m256i low[8] = {};
+    __m256i high[8] = {};
+    distanceBytes(counters, low);
+    if (depth > 8) distanceBytes(counters + 8, high);
+    const auto store = [&](std::uint32_t* dst) {
+      for (std::size_t k = 0; k < 8; ++k) {
+        storeDistances(_mm256_castsi256_si128(low[k]),
+                       _mm256_castsi256_si128(high[k]), dst + 16 * k);
+        storeDistances(_mm256_extracti128_si256(low[k], 1),
+                       _mm256_extracti128_si256(high[k], 1),
+                       dst + 128 + 16 * k);
+      }
+    };
+
+    // A shard's last group may end in a partial word: its lanes go
+    // through a buffer so nothing past `entries` is written.
+    const std::size_t lanes = std::min<std::size_t>(256, entries - 64 * w);
+    if (lanes == 256) {
+      store(out + 64 * w);
+    } else {
+      alignas(32) std::uint32_t buffer[256] = {};
+      store(buffer);
+      std::memcpy(out + 64 * w, buffer, lanes * sizeof(std::uint32_t));
+    }
+  }
+  return w;
+}
+
+using BucketGroupsFn = std::size_t (*)(const std::uint64_t*, std::size_t,
+                                       std::size_t, const std::uint8_t*,
+                                       std::uint32_t*);
+
+template <int... P>
+constexpr std::array<BucketGroupsFn, sizeof...(P)> bucketGroupsTable(
+    std::integer_sequence<int, P...>) {
+  return {&bucketGroupsAvx2<P + 1>...};
+}
+
+}  // namespace
+
+std::size_t bucketDistancesAvx2(const std::uint64_t* planes,
+                                std::size_t columns, int planeCount,
+                                std::size_t entries,
+                                const std::uint8_t* qBuckets,
+                                std::uint32_t* out) {
+  static constexpr auto kScans =
+      bucketGroupsTable(std::make_integer_sequence<int, 15>{});
+  return kScans[static_cast<std::size_t>(planeCount - 1)](
+      planes, columns, entries, qBuckets, out);
 }
 
 }  // namespace moloc::kernel::detail

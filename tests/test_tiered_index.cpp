@@ -4,15 +4,18 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <memory>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/world_snapshot.hpp"
+#include "kernel/fingerprint_kernel.hpp"
 #include "radio/fingerprint_database.hpp"
 #include "util/rng.hpp"
 #include "worldgen/generated_venue.hpp"
@@ -438,6 +441,159 @@ TEST(TieredIndexTest, ConcurrentQueriesAreRaceFreeAndDeterministic) {
   }
   for (auto& thread : threads) thread.join();
   for (int t = 0; t < kThreads; ++t) EXPECT_EQ(mismatches[t], 0);
+}
+
+/// A random slab for the scan oracle: one bucket per (column, entry),
+/// drawn half from the extremes 0 and B-1 and half uniformly, packed
+/// word by word exactly as a shard packs them.  Every eighth entry is
+/// 0 in all columns and the one after it B-1 in all columns, so the
+/// extreme queries drive some counters to the maximum distance.  Bits
+/// past the last entry are set at random: the scan must never read
+/// them out.
+std::vector<std::uint64_t> randomSlab(int bucketCount, std::size_t columns,
+                                      std::size_t entries, util::Rng& rng) {
+  const auto planeCount = static_cast<std::size_t>(bucketCount - 1);
+  const std::size_t words = (entries + kBlockEntries - 1) / kBlockEntries;
+  std::vector<std::uint64_t> slab(columns * planeCount * words);
+  std::vector<std::uint8_t> buckets(kBlockEntries);
+  std::vector<std::uint64_t> planes(planeCount);
+  for (std::size_t a = 0; a < columns; ++a)
+    for (std::size_t w = 0; w < words; ++w) {
+      const std::size_t lanes =
+          std::min(kBlockEntries, entries - w * kBlockEntries);
+      for (std::size_t e = 0; e < lanes; ++e) {
+        const std::size_t entry = w * kBlockEntries + e;
+        const std::uint64_t pick =
+            entry % 8 < 2 ? entry % 8 : rng.uniformIndex(4);
+        buckets[e] = static_cast<std::uint8_t>(
+            pick == 0   ? 0
+            : pick == 1 ? planeCount
+                        : rng.uniformIndex(planeCount + 1));
+      }
+      packThermometerPlanes({buckets.data(), lanes}, bucketCount, planes);
+      const std::uint64_t past =
+          lanes == kBlockEntries ? 0 : ~((std::uint64_t{1} << lanes) - 1);
+      for (std::size_t t = 0; t < planeCount; ++t)
+        slab[(a * planeCount + t) * words + w] =
+            planes[t] | (rng.uniformIndex(2) ? past : 0);
+    }
+  return slab;
+}
+
+/// The oracle: sum over columns of |q - e|, with each entry's bucket
+/// read back through unpackThermometerPlanes.
+std::vector<std::uint32_t> bruteForceBucketDistances(
+    const std::vector<std::uint64_t>& slab, int bucketCount,
+    std::size_t columns, std::size_t entries,
+    const std::vector<std::uint8_t>& query) {
+  const auto planeCount = static_cast<std::size_t>(bucketCount - 1);
+  const std::size_t words = (entries + kBlockEntries - 1) / kBlockEntries;
+  std::vector<std::uint32_t> distances(entries, 0);
+  std::vector<std::uint64_t> planes(planeCount);
+  std::vector<std::uint8_t> buckets;
+  for (std::size_t a = 0; a < columns; ++a)
+    for (std::size_t w = 0; w < words; ++w) {
+      const std::size_t lanes =
+          std::min(kBlockEntries, entries - w * kBlockEntries);
+      const std::uint64_t live = lanes == kBlockEntries
+                                     ? ~std::uint64_t{0}
+                                     : (std::uint64_t{1} << lanes) - 1;
+      for (std::size_t t = 0; t < planeCount; ++t)
+        planes[t] = slab[(a * planeCount + t) * words + w] & live;
+      buckets.resize(lanes);
+      unpackThermometerPlanes(planes, bucketCount, lanes, buckets);
+      for (std::size_t e = 0; e < lanes; ++e)
+        distances[w * kBlockEntries + e] += static_cast<std::uint32_t>(
+            std::abs(int{query[a]} - int{buckets[e]}));
+    }
+  return distances;
+}
+
+// The prefilter's bucket-distance scan (kernel::bucketDistances) in
+// both widths against a brute-force oracle.  Cases cover 1, 7 and 15
+// planes and, at every plane count, counter depths up to 8 and above
+// (the high-byte read-out), up to the full 16 bits.  Entry counts give
+// 1, 4, 5, 8 and 33 words, with a partial last word in all but one, so
+// the four-word AVX2 pass meets both a scalar tail and a partial group
+// of its own.  Named TieredIndex* so the sanitizer jobs run it.
+TEST(TieredIndexScanTest, AdderNetworkMatchesBruteForceInBothWidths) {
+  struct Case {
+    int bucketCount;
+    std::size_t columns;
+  };
+  std::vector<Case> cases = {
+      {2, 1},  {2, 255},  {2, 256},  {2, 40000},   // depth 1, 8, 9, 16
+      {8, 3},  {8, 36},   {8, 37},   {8, 5000},    // depth 5, 8, 9, 16
+      {16, 1}, {16, 17},  {16, 18},  {16, 2500},   // depth 4, 8, 9, 16
+      {8, 0}};  // A shard no AP is heard in: every distance is 0.
+  // Every other plane count once, at a depth above 8.
+  for (int b = 3; b < 16; ++b)
+    if (b != 8) cases.push_back({b, 300 / static_cast<std::size_t>(b - 1)});
+
+  util::Rng rng(2024);
+  for (const Case& c : cases) {
+    const bool wide = c.columns * static_cast<std::size_t>(c.bucketCount - 1) >
+                      (1u << 15);
+    // The depth-16 slabs are large; one and five words cover them.
+    const std::vector<std::size_t> entryCounts =
+        wide ? std::vector<std::size_t>{37, 317}
+             : std::vector<std::size_t>{37, 251, 317, 512, 2101};
+    for (const std::size_t entries : entryCounts) {
+      const auto slab = randomSlab(c.bucketCount, c.columns, entries, rng);
+      const kernel::BucketPlanes planes{slab, c.columns, c.bucketCount - 1,
+                                        entries};
+      const auto top = static_cast<std::uint8_t>(c.bucketCount - 1);
+      std::vector<std::vector<std::uint8_t>> queries = {
+          std::vector<std::uint8_t>(c.columns, 0),
+          std::vector<std::uint8_t>(c.columns, top),
+          std::vector<std::uint8_t>(c.columns)};
+      for (auto& q : queries.back())
+        q = static_cast<std::uint8_t>(rng.uniformIndex(top + 1u));
+
+      for (std::size_t qi = 0; qi < queries.size(); ++qi) {
+        const auto expected = bruteForceBucketDistances(
+            slab, c.bucketCount, c.columns, entries, queries[qi]);
+        // One sentinel slot past the end catches an overrun.
+        constexpr std::uint32_t kSentinel = 0xDEADBEEFu;
+        std::vector<std::uint32_t> dispatched(entries + 1, kSentinel);
+        std::vector<std::uint32_t> scalar(entries + 1, kSentinel);
+        kernel::bucketDistances(planes, queries[qi].data(),
+                                dispatched.data());
+        kernel::setForceScalar(true);
+        kernel::bucketDistances(planes, queries[qi].data(), scalar.data());
+        kernel::setForceScalar(false);
+        const std::string where =
+            "B=" + std::to_string(c.bucketCount) +
+            " columns=" + std::to_string(c.columns) +
+            " entries=" + std::to_string(entries) +
+            " query=" + std::to_string(qi);
+        EXPECT_EQ(dispatched.back(), kSentinel) << where;
+        EXPECT_EQ(scalar.back(), kSentinel) << where;
+        dispatched.pop_back();
+        scalar.pop_back();
+        EXPECT_EQ(dispatched, expected) << where;
+        EXPECT_EQ(scalar, expected) << where;
+      }
+    }
+  }
+}
+
+TEST(TieredIndexScanTest, RejectsMalformedSlabs) {
+  const std::vector<std::uint64_t> slab(2 * 7 * 2, 0);  // 2 columns, 2 words.
+  const std::vector<std::uint8_t> q = {3, 7};
+  std::vector<std::uint32_t> out(100);
+  EXPECT_NO_THROW(kernel::bucketDistances({slab, 2, 7, 100}, q.data(),
+                                          out.data()));
+  EXPECT_THROW(kernel::bucketDistances({slab, 2, 7, 129}, q.data(),
+                                       out.data()),
+               util::ConfigError);
+  EXPECT_THROW(kernel::bucketDistances({slab, 2, 16, 100}, q.data(),
+                                       out.data()),
+               util::ConfigError);
+  const std::vector<std::uint8_t> tooHigh = {3, 8};
+  EXPECT_THROW(kernel::bucketDistances({slab, 2, 7, 100}, tooHigh.data(),
+                                       out.data()),
+               util::ConfigError);
 }
 
 }  // namespace
